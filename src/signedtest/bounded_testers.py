@@ -34,8 +34,7 @@ from .core import (
     original,
     subdivision,
 )
-from .dense_testers import Verdict, _as_rng
-from .oracles import BoundedDegreeOracle
+from .oracles import BoundedDegreeOracle, Verdict, _as_rng
 
 C_TRIANGLE_BD = 10.0
 
@@ -81,44 +80,26 @@ class WalkParams:
             raise ValueError("all walk parameters must be >= 1")
 
 
-class ParityTable:
-    """First arrival (walk index, move count) per (G2 node, path parity).
-
-    Holding both parities for one node certifies an odd cycle; the stored
-    indices point back into the walks' move paths for witness extraction.
-    """
-
-    def __init__(self) -> None:
-        self._first: dict[tuple[GPrimeNode, int], tuple[int, int]] = {}
-
-    def record(self, node: GPrimeNode, parity: int, walk_idx: int, pos: int):
-        """Record the arrival (first one wins) and return the stored entry of
-        the opposite parity if one exists."""
-        key = (node, parity)
-        if key not in self._first:
-            self._first[key] = (walk_idx, pos)
-        return self._first.get((node, 1 - parity))
-
-    def __len__(self) -> int:
-        return len(self._first)
-
-
 # ---------------------------------------------------------------------------
 # walk primitives
 # ---------------------------------------------------------------------------
 
-def lazy_walk_step(o: BoundedDegreeOracle, v: int, restrict_to_positive: bool, rng) -> int:
-    """One lazy step: try a uniform neighbor slot, stay on an empty slot (or
-    on a negative edge when restricted to the positive subgraph). Exactly one
-    oracle query."""
-    i = int(rng.integers(1, o.d + 1))
-    res = o.query(v, i)
+def _lazy_step(o: BoundedDegreeOracle, v: int, slot: int, restrict_to_positive: bool) -> int:
+    """Decision core for one lazy step on G, fed a pre-drawn neighbor slot:
+    stay on an empty slot (or on a negative edge when restricted to the
+    positive subgraph), else move. Exactly one oracle query."""
+    res = o.query(v, slot)
     if res is None:
         return v
     u, sign = res
     if restrict_to_positive and sign is Sign.MINUS:
         return v
     return u
+
+
+def lazy_walk_step(o: BoundedDegreeOracle, v: int, restrict_to_positive: bool, rng) -> int:
+    """One lazy step from v through a uniform neighbor slot (public single-step form)."""
+    return _lazy_step(o, v, int(rng.integers(1, o.d + 1)), restrict_to_positive)
 
 
 def _gprime_step(o: BoundedDegreeOracle, x: GPrimeNode, slot: int, coin: float) -> GPrimeNode:
@@ -276,13 +257,11 @@ def read_whole_graph(o: BoundedDegreeOracle) -> SignedGraph:
 
 
 def _exact_verdict(o: BoundedDegreeOracle, check) -> Verdict:
+    """Read the whole graph and answer exactly; check(g) returns (ok, witness)."""
     start = o.query_count
-    g = read_whole_graph(o)
-    res = check(g)
-    used = o.query_count - start
-    ok = res.balanced if hasattr(res, "balanced") else res.clusterable
-    return Verdict(ok, witness=None if ok else res.witness,
-                   queries_used=used, exact_fallback=True)
+    ok, witness = check(read_whole_graph(o))
+    return Verdict(ok, witness=witness, queries_used=o.query_count - start,
+                   exact_fallback=True)
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +357,20 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
     sampler_cost = 16 * o.d * (1 + o.d)
     budget = p.starts * (sampler_cost + p.walks_per_start * p.walk_length)
     if constants.allow_exact_fallback and (eps >= 1.0 or budget > o.n * o.d):
-        return _exact_verdict(o, exact.is_balanced)
+        return _exact_verdict(o, lambda g: ((r := exact.is_balanced(g)).balanced, r.witness))
     rng = _as_rng(seed)
     start_count = o.query_count
     for _ in range(p.starts):
         s = _draw_start(o, rng)
         if s is None:
             continue
-        table = ParityTable()
+        # first arrival (walk index, move count) per (G2 node, path parity);
+        # both parities at one node certify an odd cycle
+        first: dict[tuple[GPrimeNode, int], tuple[int, int]] = {}
         paths: list[list[GPrimeNode]] = []
         for widx in range(p.walks_per_start):
             cur = [s]
-            table.record(s, 0, widx, 0)
+            first.setdefault((s, 0), (widx, 0))
             slots = rng.integers(1, o.d + 1, size=p.walk_length)
             coins = rng.random(p.walk_length)
             x = s
@@ -401,7 +382,8 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
                 x = nxt
                 cur.append(x)
                 pos = len(cur) - 1
-                other = table.record(x, pos & 1, widx, pos)
+                first.setdefault((x, pos & 1), (widx, pos))
+                other = first.get((x, 1 - (pos & 1)))
                 if other is not None:
                     hit = (other, pos)
                     break
@@ -439,14 +421,8 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
     parent: dict[int, int | None] = {s: None}
     for _ in range(m):
         x = s
-        slots = rng.integers(1, o.d + 1, size=length)
-        for step in range(length):
-            res = o.query(x, int(slots[step]))
-            if res is None:
-                continue
-            v, sign = res
-            if sign is Sign.MINUS:
-                continue
+        for slot in rng.integers(1, o.d + 1, size=length).tolist():
+            v = _lazy_step(o, x, slot, True)
             if v not in parent:
                 parent[v] = x
             x = v
@@ -477,7 +453,8 @@ def test_clusterability_bounded(o: BoundedDegreeOracle, eps: float, seed,
     p = params if params is not None else cluster_walk_schedule(o.n, o.d, eps, constants)
     budget = p.starts * (1 + o.d) * p.walks_per_start * p.walk_length
     if constants.allow_exact_fallback and (eps >= 1.0 or budget > o.n * o.d):
-        return _exact_verdict(o, exact.is_clusterable)
+        return _exact_verdict(
+            o, lambda g: ((r := exact.is_clusterable(g)).clusterable, r.witness))
     rng = _as_rng(seed)
     start_count = o.query_count
     for _ in range(p.starts):

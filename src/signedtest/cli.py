@@ -17,6 +17,9 @@ from . import exact
 from .core import load_edge_list, save_edge_list
 from .generators import FAMILIES, GenSpec, generate
 from .harness import (
+    MODELS,
+    OVERRIDES,
+    PROPERTIES,
     ExperimentConfig,
     run_experiment,
     run_scaling,
@@ -24,10 +27,6 @@ from .harness import (
     witness_to_json,
     write_scaling_csv,
 )
-
-_OVERRIDE_FLOATS = ("c1", "c2", "c3", "c4", "c5", "c6", "c_b", "c_e", "c_c", "c_t")
-_OVERRIDE_INTS = ("walk_len_log_exponent", "balance_len_eps_exponent",
-                  "triple_samples", "node_samples", "subset_size")
 
 
 def _json_default(obj):
@@ -45,7 +44,14 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_instance_flags(p: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(p: argparse.ArgumentParser, trials: int) -> None:
+    """Flags shared by ``test`` and ``bench``: tester, instance, overrides."""
+    p.add_argument("--model", choices=MODELS, required=True)
+    p.add_argument("--property", choices=PROPERTIES, required=True)
+    p.add_argument("--pattern", default="++-")
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="infile", metavar="FILE",
                    help="read the instance from an .sgl edge list")
     p.add_argument("--family", choices=FAMILIES, help="generate the instance instead")
@@ -56,19 +62,14 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--planted-fraction", type=float, dest="planted_fraction")
     p.add_argument("--gen-seed", type=int, default=0, dest="gen_seed",
                    help="seed for instance generation (default 0)")
-
-
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
     grp = p.add_argument_group("budget overrides")
-    for name in _OVERRIDE_FLOATS:
-        grp.add_argument("--" + name.replace("_", "-"), type=float, dest=name)
-    for name in ("walk_len_log_exponent", "balance_len_eps_exponent"):
-        grp.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
-    for name in ("triple_samples", "node_samples", "subset_size"):
-        grp.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
-    grp.add_argument("--no-exact-fallback", dest="allow_exact_fallback",
-                     action="store_const", const=False, default=None,
-                     help="never fall back to reading the whole graph")
+    for name, kind in OVERRIDES.items():
+        if kind is bool:  # allow_exact_fallback, the one switch, is on by default
+            grp.add_argument("--no-exact-fallback", dest=name,
+                             action="store_const", const=False, default=None,
+                             help="never fall back to reading the whole graph")
+        else:
+            grp.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
 
 
 def _genspec_from_args(args) -> GenSpec:
@@ -82,16 +83,14 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.infile and args.family:
         raise ValueError("pass either --in or --family, not both")
     if args.infile:
+        if args.n is not None:
+            raise ValueError("--n only applies to --family")
         instance = args.infile
     elif args.family:
         instance = _genspec_from_args(args)
     else:
         raise ValueError("an instance is required: --in FILE or --family NAME --n N")
-    kw = {}
-    for name in _OVERRIDE_FLOATS + _OVERRIDE_INTS + ("allow_exact_fallback",):
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v
+    kw = {name: getattr(args, name) for name in OVERRIDES if getattr(args, name) is not None}
     return ExperimentConfig(
         property=args.property,
         model=args.model,
@@ -224,32 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("test", help="run a seeded tester experiment")
-    p.add_argument("--model", choices=["dense", "bounded"], required=True)
-    p.add_argument("--property", choices=["balance", "clusterability", "triangle"],
-                   required=True)
-    p.add_argument("--pattern", default="++-")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    _add_experiment_flags(p, trials=50)
     p.add_argument("--out", help="report path (stdout when omitted)")
-    _add_instance_flags(p)
-    _add_override_flags(p)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("bench", help="fit query scaling over several sizes")
-    p.add_argument("--model", choices=["dense", "bounded"], required=True)
-    p.add_argument("--property", choices=["balance", "clusterability", "triangle"],
-                   required=True)
-    p.add_argument("--pattern", default="++-")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_experiment_flags(p, trials=5)
     p.add_argument("--n-list", required=True, dest="n_list",
                    help="comma-separated sizes, e.g. 1000,10000,100000")
     p.add_argument("--out", help="table path (stdout when omitted)")
     p.add_argument("--csv", help="also write the points as CSV")
-    _add_instance_flags(p)
-    _add_override_flags(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="re-check a witness file against a graph")

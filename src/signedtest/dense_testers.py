@@ -14,14 +14,11 @@ per unique node pair).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import exact
 from .core import Sign, SignedGraph, Witness, WitnessKind
-from .oracles import DenseOracle, RandomSource
+from .oracles import DenseOracle, Verdict, _as_rng
 
 # Budget constants. Engineering choices, not theory: defaults are sized so
 # that the desk-scale statistical checks pass with margin.
@@ -38,46 +35,19 @@ LOCAL_SEARCH_RESTARTS = 10
 LOCAL_SEARCH_MOVE_FACTOR = 200
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return RandomSource(int(seed)).generator()
-
-
 @dataclass(frozen=True)
 class DenseParams:
-    """Budget knobs for the dense testers; None means "derive from eps"."""
+    """Knobs for the dense triangle tester; None means "derive from eps"."""
 
     eps: float
     seed: int = 0
     triple_samples: int | None = None
-    node_samples: int | None = None
-    subset_size: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.eps <= 1:
             raise ValueError("eps must be in (0, 1]")
-        for name in ("triple_samples", "node_samples", "subset_size"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Tester outcome. One-sided testers attach a witness to every reject;
-    exact_fallback marks runs that read the whole graph and answered
-    exactly instead of sampling."""
-
-    accept: bool
-    witness: Optional[Witness] = None
-    queries_used: int = 0
-    exact_fallback: bool = False
-    details: dict = field(default_factory=dict)
-
-    @property
-    def decision(self) -> str:
-        return "accept" if self.accept else "reject"
+        if self.triple_samples is not None and self.triple_samples < 1:
+            raise ValueError("triple_samples must be >= 1")
 
 
 def default_triple_samples(eps: float, c_t: float = C_TRIANGLE) -> int:
@@ -226,18 +196,6 @@ def estimate_edge_count(o: DenseOracle, eps: float, seed, c_e: float = C_EDGES) 
 # weak-frustration estimation and the tolerant clusterability tester
 # ---------------------------------------------------------------------------
 
-def _fold_labels(labels: list[int], k: int) -> list[int]:
-    """Map arbitrary cluster labels onto 0..k-1, folding overflow clusters
-    into the last one."""
-    remap: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in remap:
-            remap[lab] = min(len(remap), k - 1)
-        out.append(remap[lab])
-    return out
-
-
 def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
     """Greedy local search for a k-clustering with few violated signs.
 
@@ -249,14 +207,6 @@ def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
     k = min(k, max(n, 1))
     if n == 0 or k < 1:
         return 0
-
-    def violations_of(assign):
-        bad = 0
-        for u, v, s in g.edges():
-            same = assign[u] == assign[v]
-            if (s is Sign.PLUS) != same:
-                bad += 1
-        return bad
 
     def delta_for(assign, v, target):
         d = 0
@@ -273,8 +223,9 @@ def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
     move_budget = LOCAL_SEARCH_MOVE_FACTOR * n * k
     for restart in range(LOCAL_SEARCH_RESTARTS):
         if restart == 0:
-            base = exact.positive_component_clustering(g)
-            assign = _fold_labels(list(base.assignment), k)
+            # positive components, folded into at most k labels
+            comp = exact.positive_component_clustering(g).assignment
+            assign = [min(c, k - 1) for c in comp]
         else:
             assign = [int(x) for x in rng.integers(0, k, size=n)]
         sizes = [0] * k
@@ -282,7 +233,7 @@ def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
             sizes[c] += 1
         # lazy stack of empty cluster ids (entries may go stale after moves)
         empties = [c for c in range(k - 1, -1, -1) if sizes[c] == 0]
-        cur = violations_of(assign)
+        cur = exact.clustering_violations(g, assign)
         improved = True
         while improved and move_budget > 0:
             improved = False

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from .core import Clustering, Sign, SignedGraph, Witness, WitnessKind
 FRUSTRATION_MAX_NODES = 24
 K_FRUSTRATION_MAX_NODES = 12
 TRIANGLE_DISTANCE_MAX_NODES = 16
+
+
+class SizeCapError(ValueError):
+    """A brute-force solver was given a graph above its hard size cap."""
 
 
 def triangle_pattern(spec: Sequence[Sign | str] | str) -> tuple[Sign, Sign, Sign]:
@@ -118,29 +122,9 @@ class ClusterabilityResult:
     witness: Witness | None = None           # bad cycle otherwise
 
 
-def positive_component_clustering(g: SignedGraph) -> Clustering:
-    """Connected components of the positive subgraph, ids in discovery order."""
-    comp = [-1] * g.n
-    cid = 0
-    for root in range(g.n):
-        if comp[root] != -1:
-            continue
-        comp[root] = cid
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adj[u]:
-                if s is Sign.PLUS and comp[v] == -1:
-                    comp[v] = cid
-                    queue.append(v)
-        cid += 1
-    return Clustering(tuple(comp), cid)
-
-
-def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
-    """A graph is clusterable iff no negative edge joins two nodes of the same
-    positive component; a violating edge closes a cycle with exactly one
-    negative edge through the positive BFS tree."""
+def _positive_bfs(g: SignedGraph):
+    """BFS forest of the positive subgraph: (component id per node, in
+    discovery order; component count; tree parent; tree depth)."""
     comp = [-1] * g.n
     depth = [0] * g.n
     parent: list[tuple[int, Sign] | None] = [None] * g.n
@@ -159,11 +143,25 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
                     depth[v] = depth[u] + 1
                     queue.append(v)
         cid += 1
+    return comp, cid, parent, depth
+
+
+def positive_component_clustering(g: SignedGraph) -> Clustering:
+    """Connected components of the positive subgraph, ids in discovery order."""
+    comp, k, _, _ = _positive_bfs(g)
+    return Clustering(tuple(comp), k)
+
+
+def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
+    """A graph is clusterable iff no negative edge joins two nodes of the same
+    positive component; a violating edge closes a cycle with exactly one
+    negative edge through the positive BFS tree."""
+    comp, k, parent, depth = _positive_bfs(g)
     for u, v, s in g.edges():
         if s is Sign.MINUS and comp[u] == comp[v]:
             w = _splice_cycle(parent, depth, u, v, s, WitnessKind.BAD_CYCLE)
             return ClusterabilityResult(False, None, w)
-    return ClusterabilityResult(True, Clustering(tuple(comp), cid), None)
+    return ClusterabilityResult(True, Clustering(tuple(comp), k), None)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +169,11 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
 # ---------------------------------------------------------------------------
 
 
-def has_signed_triangle(
+def _pattern_triangles(
     g: SignedGraph, pattern: Sequence[Sign | str] | str
-) -> Witness | None:
-    """First triangle (by lexicographic node order) whose sign multiset equals
-    the pattern, or None."""
+) -> Iterator[tuple[tuple[int, int, int], tuple[Sign, Sign, Sign]]]:
+    """Every triangle u < v < w whose sign multiset equals the pattern, in
+    lexicographic node order, as ((u, v, w), (s_uv, s_vw, s_uw))."""
     want = triangle_pattern(pattern)
     for u, v, s_uv in g.edges():
         for w, s_vw in g.adj[v]:
@@ -185,7 +183,16 @@ def has_signed_triangle(
             if s_uw is None:
                 continue
             if tuple(sorted((s_uv, s_vw, s_uw))) == want:
-                return Witness(WitnessKind.SIGNED_TRIANGLE, (u, v, w), (s_uv, s_vw, s_uw))
+                yield (u, v, w), (s_uv, s_vw, s_uw)
+
+
+def has_signed_triangle(
+    g: SignedGraph, pattern: Sequence[Sign | str] | str
+) -> Witness | None:
+    """First triangle (by lexicographic node order) whose sign multiset equals
+    the pattern, or None."""
+    for nodes, signs in _pattern_triangles(g, pattern):
+        return Witness(WitnessKind.SIGNED_TRIANGLE, nodes, signs)
     return None
 
 
@@ -198,7 +205,7 @@ def frustration_index(g: SignedGraph) -> int:
     """Minimum edge deletions to balance: min over bipartitions of
     (positive edges across) + (negative edges inside). Cap n <= 24."""
     if g.n > FRUSTRATION_MAX_NODES:
-        raise ValueError(f"frustration_index caps at n={FRUSTRATION_MAX_NODES}, got {g.n}")
+        raise SizeCapError(f"frustration_index caps at n={FRUSTRATION_MAX_NODES}, got {g.n}")
     edges = list(g.edges())
     if not edges or g.n == 1:
         return 0
@@ -210,7 +217,8 @@ def frustration_index(g: SignedGraph) -> int:
     return int(viol.min())
 
 
-def _clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
+def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
+    """Edges a cluster labeling violates: positive across or negative inside."""
     bad = 0
     for u, v, s in g.edges():
         if s is Sign.PLUS:
@@ -227,12 +235,12 @@ def k_frustration_index(g: SignedGraph, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n > K_FRUSTRATION_MAX_NODES:
-        raise ValueError(f"k_frustration_index caps at n={K_FRUSTRATION_MAX_NODES}, got {g.n}")
+        raise SizeCapError(f"k_frustration_index caps at n={K_FRUSTRATION_MAX_NODES}, got {g.n}")
     k = min(k, g.n)
     prev = [[(j, s) for j, s in g.adj[i] if j < i] for i in range(g.n)]
     # positive components, folded into at most k labels, give the starting bound
     comp = positive_component_clustering(g).assignment
-    best = _clustering_violations(g, [min(c, k - 1) for c in comp])
+    best = clustering_violations(g, [min(c, k - 1) for c in comp])
     if best == 0:
         return 0
     assign = [0] * g.n
@@ -271,20 +279,10 @@ def triangle_free_distance(g: SignedGraph, pattern: Sequence[Sign | str] | str) 
     """Minimum edge deletions removing every pattern triangle (exact hitting
     set by branch and bound). Cap n <= 16."""
     if g.n > TRIANGLE_DISTANCE_MAX_NODES:
-        raise ValueError(
+        raise SizeCapError(
             f"triangle_free_distance caps at n={TRIANGLE_DISTANCE_MAX_NODES}, got {g.n}"
         )
-    want = triangle_pattern(pattern)
-    triangles: list[tuple[tuple[int, int], ...]] = []
-    for u, v, s_uv in g.edges():
-        for w, s_vw in g.adj[v]:
-            if w <= v:
-                continue
-            s_uw = g.sign_of(u, w)
-            if s_uw is None:
-                continue
-            if tuple(sorted((s_uv, s_vw, s_uw))) == want:
-                triangles.append(((u, v), (v, w), (u, w)))
+    triangles = [((u, v), (v, w), (u, w)) for (u, v, w), _ in _pattern_triangles(g, pattern)]
     best = len(triangles)  # deleting one edge per triangle always suffices
 
     def rec(deleted: frozenset[tuple[int, int]], count: int) -> None:
@@ -388,7 +386,8 @@ def verify_witness(g: SignedGraph, w: Witness) -> str | None:
     for u, v, s in w.edge_pairs():
         if not (0 <= u < g.n and 0 <= v < g.n):
             return f"node out of range on edge ({u},{v})"
-        actual = g.sign_of(u, v)
+        # a scan of u's row, not g.sign_of: that would build the whole sign map
+        actual = next((t for x, t in g.adj[u] if x == v), None)
         if actual is None:
             return f"missing edge ({u},{v})"
         if actual is not s:

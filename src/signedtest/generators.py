@@ -373,9 +373,6 @@ def _gen_planted_matching(spec: GenSpec, rng):
     return g, extra
 
 
-_TOO_LARGE_NOTE = "instance exceeds exact-certification size caps"
-
-
 def certify(
     g: SignedGraph,
     prop: str,
@@ -402,9 +399,7 @@ def certify(
             edits = exact.triangle_free_distance(g, pattern)
         else:
             raise ValueError(f"unknown property {prop!r}")
-    except ValueError as exc:
-        if "caps at" in str(exc):
-            return None
-        raise
+    except exact.SizeCapError:
+        return None
     eps = edits / (g.n * g.n) if model == "dense" else edits / (d * g.n)
     return DistanceCertificate(prop, model, edits, eps, "exact")

@@ -1,8 +1,7 @@
 """Experiment engine: seeded tester runs, aggregation, JSON reports.
 
 A report is a pure function of its config (wall-time fields aside): trials
-draw their randomness from per-trial substreams keyed by trial index, so the
-worker pool size never changes any result, only the elapsed time.
+draw their randomness from per-trial substreams keyed by trial index.
 """
 
 from __future__ import annotations
@@ -10,9 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +22,20 @@ from .generators import GenSpec, generate
 from .oracles import BoundedDegreeOracle, DenseOracle, RandomSource
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "SIGNEDTEST_WORKERS"
 
 PROPERTIES = ("balance", "clusterability", "triangle")
 MODELS = ("dense", "bounded")
+
+# Budget and constant overrides: one ExperimentConfig field per name, None
+# meaning "use the tester default". The CLI flags, the config validation and
+# the CLI's config building all derive from this table.
+_EXPONENTS = ("walk_len_log_exponent", "balance_len_eps_exponent")  # may be <= 0
+OVERRIDES: dict[str, type] = {
+    **dict.fromkeys(("c1", "c2", "c3", "c4", "c5", "c6", "c_b", "c_e", "c_c", "c_t"), float),
+    **dict.fromkeys(_EXPONENTS, int),
+    **dict.fromkeys(("triple_samples", "node_samples", "subset_size"), int),
+    "allow_exact_fallback": bool,
+}
 
 _KIND_TOKENS = {
     WitnessKind.BAD_CYCLE: "bad-cycle",
@@ -47,13 +54,16 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(d: dict) -> Witness:
+    if not isinstance(d, dict):
+        raise ValueError(f"malformed witness record: expected an object, got {type(d).__name__}")
     try:
         kind = _TOKEN_KINDS[d["kind"]]
-        nodes = tuple(int(v) for v in d["nodes"])
-        signs = tuple(Sign.from_token(s) for s in d["signs"])
+        nodes, signs = d["nodes"], d["signs"]
     except KeyError as exc:
         raise ValueError(f"malformed witness record: missing {exc}") from exc
-    return Witness(kind, nodes, signs)
+    if not (isinstance(nodes, list) and isinstance(signs, list)):
+        raise ValueError("malformed witness record: nodes and signs must be lists")
+    return Witness(kind, tuple(int(v) for v in nodes), tuple(Sign.from_token(s) for s in signs))
 
 
 def parse_pattern(text: str):
@@ -120,24 +130,17 @@ class ExperimentConfig:
             raise ValueError("eps must be in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c_b", "c_e", "c_c", "c_t",
-                     "triple_samples", "node_samples", "subset_size"):
+        for name, kind in OVERRIDES.items():
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and kind is not bool and name not in _EXPONENTS and v <= 0:
                 raise ValueError(f"override {name} must be positive")
         if self.property == "triangle":
             parse_pattern(self.pattern)
 
     def bounded_constants(self) -> bt.BoundedConstants:
-        base = bt.DEFAULT_CONSTANTS
-        kw = {}
-        for name in ("c1", "c2", "c3", "c4", "c5", "c6",
-                     "walk_len_log_exponent", "balance_len_eps_exponent",
-                     "allow_exact_fallback"):
-            v = getattr(self, name)
-            if v is not None:
-                kw[name] = v
-        return dataclasses.replace(base, **kw) if kw else base
+        kw = {f.name: getattr(self, f.name) for f in dataclasses.fields(bt.BoundedConstants)
+              if getattr(self, f.name) is not None}
+        return dataclasses.replace(bt.DEFAULT_CONSTANTS, **kw)
 
 
 def _config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -160,66 +163,77 @@ def load_instance(cfg: ExperimentConfig) -> SignedGraph:
     return g
 
 
-def _resolved_constants(cfg: ExperimentConfig, g: SignedGraph) -> dict:
-    if cfg.model == "dense":
-        out = {
-            "c_b": cfg.c_b if cfg.c_b is not None else dt.C_BALANCE,
-            "c_e": cfg.c_e if cfg.c_e is not None else dt.C_EDGES,
-            "c_c": cfg.c_c if cfg.c_c is not None else dt.C_CLUSTER,
-            "c_t": cfg.c_t if cfg.c_t is not None else dt.C_TRIANGLE,
-        }
-        if cfg.property == "triangle":
-            out["triple_samples"] = (cfg.triple_samples if cfg.triple_samples is not None
-                                     else dt.default_triple_samples(cfg.eps, out["c_t"]))
-        if cfg.property == "balance":
-            out["node_samples"] = (cfg.node_samples if cfg.node_samples is not None
-                                   else dt.default_node_samples(cfg.eps, out["c_b"]))
-        if cfg.property == "clusterability":
-            out["subset_size"] = (cfg.subset_size if cfg.subset_size is not None
-                                  else dt.default_subset_size(cfg.eps, out["c_c"]))
-        return out
+def _or(value, default):
+    return default if value is None else value
+
+
+def _dense_constants(cfg: ExperimentConfig) -> dict:
+    return {"c_b": _or(cfg.c_b, dt.C_BALANCE), "c_e": _or(cfg.c_e, dt.C_EDGES),
+            "c_c": _or(cfg.c_c, dt.C_CLUSTER), "c_t": _or(cfg.c_t, dt.C_TRIANGLE)}
+
+
+def _dense_triangle(cfg: ExperimentConfig, g: SignedGraph):
+    c = _dense_constants(cfg)
+    c["triple_samples"] = _or(cfg.triple_samples, dt.default_triple_samples(cfg.eps, c["c_t"]))
+    pattern = parse_pattern(cfg.pattern)
+    return c, lambda rng: dt.test_triangle_dense(
+        DenseOracle(g), pattern,
+        dt.DenseParams(eps=cfg.eps, seed=rng, triple_samples=c["triple_samples"]))
+
+
+def _dense_balance(cfg: ExperimentConfig, g: SignedGraph):
+    c = _dense_constants(cfg)
+    c["node_samples"] = _or(cfg.node_samples, dt.default_node_samples(cfg.eps, c["c_b"]))
+    return c, lambda rng: dt.test_balance_dense(
+        DenseOracle(g), cfg.eps, rng, c_b=c["c_b"], node_samples=c["node_samples"])
+
+
+def _dense_clusterability(cfg: ExperimentConfig, g: SignedGraph):
+    c = _dense_constants(cfg)
+    c["subset_size"] = _or(cfg.subset_size, dt.default_subset_size(cfg.eps, c["c_c"]))
+    return c, lambda rng: dt.test_clusterability_dense(
+        DenseOracle(g), cfg.eps, rng, c_e=c["c_e"], c_c=c["c_c"], subset_size=c["subset_size"])
+
+
+def _bounded_constants(cfg: ExperimentConfig) -> tuple[dict, bt.BoundedConstants]:
     consts = cfg.bounded_constants()
-    out = dataclasses.asdict(consts)
-    out["c_t"] = cfg.c_t if cfg.c_t is not None else bt.C_TRIANGLE_BD
-    if cfg.property == "balance":
-        p = bt.balance_walk_schedule(g.n, g.degree_bound, cfg.eps, consts)
-        out["schedule"] = dataclasses.asdict(p)
-    elif cfg.property == "clusterability":
-        p = bt.cluster_walk_schedule(g.n, g.degree_bound, cfg.eps, consts)
-        out["schedule"] = dataclasses.asdict(p)
-    return out
+    c = dataclasses.asdict(consts)
+    c["c_t"] = _or(cfg.c_t, bt.C_TRIANGLE_BD)
+    return c, consts
 
 
-def _run_one_trial(cfg: ExperimentConfig, g: SignedGraph, trial: int) -> dict:
-    rng = RandomSource(cfg.seed).stream(trial)
+def _bounded_triangle(cfg: ExperimentConfig, g: SignedGraph):
+    c, _ = _bounded_constants(cfg)
+    pattern = parse_pattern(cfg.pattern)
+    return c, lambda rng: bt.test_triangle_bounded(
+        BoundedDegreeOracle(g), pattern, cfg.eps, rng, c_t=c["c_t"])
+
+
+def _bounded_walk(schedule, tester):
+    def setup(cfg: ExperimentConfig, g: SignedGraph):
+        c, consts = _bounded_constants(cfg)
+        c["schedule"] = dataclasses.asdict(schedule(g.n, g.degree_bound, cfg.eps, consts))
+        return c, lambda rng: tester(BoundedDegreeOracle(g), cfg.eps, rng, constants=consts)
+    return setup
+
+
+# (model, property) -> setup(cfg, g) returning (resolved constants, run),
+# where run(rng) builds a fresh oracle and returns one Verdict.
+TESTERS = {
+    ("dense", "triangle"): _dense_triangle,
+    ("dense", "balance"): _dense_balance,
+    ("dense", "clusterability"): _dense_clusterability,
+    ("bounded", "triangle"): _bounded_triangle,
+    ("bounded", "balance"): _bounded_walk(bt.balance_walk_schedule, bt.test_balance_bounded),
+    ("bounded", "clusterability"): _bounded_walk(bt.cluster_walk_schedule,
+                                                 bt.test_clusterability_bounded),
+}
+
+
+def _run_one_trial(run, g: SignedGraph, seed: int, trial: int) -> dict:
+    rng = RandomSource(seed).stream(trial)
     t0 = time.perf_counter()
-    if cfg.model == "dense":
-        o = DenseOracle(g)
-        if cfg.property == "triangle":
-            v = dt.test_triangle_dense(o, parse_pattern(cfg.pattern),
-                                       dt.DenseParams(eps=cfg.eps, seed=rng,
-                                                      triple_samples=cfg.triple_samples),
-                                       c_t=cfg.c_t if cfg.c_t is not None else dt.C_TRIANGLE)
-        elif cfg.property == "balance":
-            v = dt.test_balance_dense(o, cfg.eps, rng,
-                                      c_b=cfg.c_b if cfg.c_b is not None else dt.C_BALANCE,
-                                      node_samples=cfg.node_samples)
-        else:
-            v = dt.test_clusterability_dense(
-                o, cfg.eps, rng,
-                c_e=cfg.c_e if cfg.c_e is not None else dt.C_EDGES,
-                c_c=cfg.c_c if cfg.c_c is not None else dt.C_CLUSTER,
-                subset_size=cfg.subset_size)
-    else:
-        o = BoundedDegreeOracle(g)
-        consts = cfg.bounded_constants()
-        if cfg.property == "triangle":
-            v = bt.test_triangle_bounded(o, parse_pattern(cfg.pattern), cfg.eps, rng,
-                                         c_t=cfg.c_t if cfg.c_t is not None else bt.C_TRIANGLE_BD)
-        elif cfg.property == "balance":
-            v = bt.test_balance_bounded(o, cfg.eps, rng, constants=consts)
-        else:
-            v = bt.test_clusterability_bounded(o, cfg.eps, rng, constants=consts)
+    v = run(rng)
     wall = time.perf_counter() - t0
     row = {
         "trial": trial,
@@ -270,25 +284,11 @@ def strip_wall_times(report_dict: dict) -> dict:
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.trials independent tester runs and aggregate them."""
     g = load_instance(cfg)
-    workers = _worker_count()
-    indices = list(range(cfg.trials))
-    if workers == 1:
-        rows = [_run_one_trial(cfg, g, t) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _run_one_trial(cfg, g, t), indices))
-    rows.sort(key=lambda r: r["trial"])
+    resolved, run = TESTERS[cfg.model, cfg.property](cfg, g)
+    rows = [_run_one_trial(run, g, cfg.seed, t) for t in range(cfg.trials)]
     rejects = sum(1 for r in rows if r["decision"] == "reject")
     lo, hi = wilson(rejects, cfg.trials)
     queries = [r["queries"] for r in rows]
@@ -308,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     summary = {"n": g.n, "edges": g.num_edges, "degree_bound": g.degree_bound}
     return ExperimentReport(
         config=_config_to_dict(cfg),
-        resolved_constants=_resolved_constants(cfg, g),
+        resolved_constants=resolved,
         instance_summary=summary,
         trials=rows,
         aggregates=aggregates,

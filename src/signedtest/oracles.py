@@ -4,15 +4,19 @@ Testers never touch a ``SignedGraph`` directly; they see one of the two query
 models here. Every oracle call increments ``query_count`` by one, including
 out-of-range adjacency answers. Free metadata is limited to the node count
 and (bounded model) the degree bound.
+
+The testers of both models also share the seeded randomness and the
+``Verdict`` they return, defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .core import Sign, SignedGraph
+from .core import Sign, SignedGraph, Witness
 
 
 class DenseOracle:
@@ -77,8 +81,8 @@ class RandomSource:
     """Seeded randomness with reproducible independent substreams.
 
     ``stream(*path)`` keys a fresh generator off (seed, path) via NumPy's
-    SeedSequence spawn keys, so e.g. per-trial streams are identical whether
-    trials run sequentially or in parallel, in any order.
+    SeedSequence spawn keys, so e.g. a trial's stream depends only on the
+    seed and the trial index, not on which trials ran before it.
     """
 
     seed: int
@@ -92,3 +96,26 @@ class RandomSource:
 
     def generator(self) -> np.random.Generator:
         return self.stream()
+
+
+def _as_rng(seed) -> np.random.Generator:
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return RandomSource(int(seed)).generator()
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Tester outcome. One-sided testers attach a witness to every reject;
+    exact_fallback marks runs that read the whole graph and answered
+    exactly instead of sampling."""
+
+    accept: bool
+    witness: Optional[Witness] = None
+    queries_used: int = 0
+    exact_fallback: bool = False
+    details: dict = field(default_factory=dict)
+
+    @property
+    def decision(self) -> str:
+        return "accept" if self.accept else "reject"

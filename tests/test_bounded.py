@@ -280,6 +280,18 @@ class TestBadCycleSearch:
         # visited set on one triangle component has <= 3 nodes
         assert o.query_count <= m * L + o.d * 3
 
+    def test_walks_step_through_the_shared_core(self, monkeypatch):
+        # a core that never moves: the walks then cost no query of their own,
+        # and only the start node's row is probed (deg 1 < d, so 2 queries)
+        calls = []
+        monkeypatch.setattr(bt, "_lazy_step",
+                            lambda o, v, slot, restrict: calls.append(restrict) or v)
+        o = _oracle(make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.MINUS)], d=2))
+        m, L = 7, 5
+        assert bt.badcycle_search(o, 0, m, L, np.random.default_rng(0)) is None
+        assert calls == [True] * (m * L)
+        assert o.query_count == 2
+
     def test_exactly_one_negative_edge_in_witness(self):
         g = _ppm_triangle(d=2)
         w = bt.badcycle_search(_oracle(g), 0, 50, 5, np.random.default_rng(5))

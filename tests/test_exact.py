@@ -10,6 +10,7 @@ import pytest
 
 from signedtest.core import Clustering, Sign, Witness, WitnessKind
 from signedtest.exact import (
+    SizeCapError,
     frustration_index,
     has_signed_triangle,
     is_balanced,
@@ -212,7 +213,7 @@ class TestFrustrationIndex:
 
     def test_size_cap_is_a_hard_error(self):
         g = make_graph(25, [(0, 1, "+")])
-        with pytest.raises(ValueError, match="caps at n=24"):
+        with pytest.raises(SizeCapError, match="caps at n=24"):
             frustration_index(g)
 
 
@@ -247,7 +248,7 @@ class TestKFrustration:
 
     def test_size_caps(self):
         g = make_graph(13, [(0, 1, "+")])
-        with pytest.raises(ValueError, match="caps at n=12"):
+        with pytest.raises(SizeCapError, match="caps at n=12"):
             k_frustration_index(g, 3)
         with pytest.raises(ValueError, match="k must be"):
             k_frustration_index(triangle("+", "+", "+"), 0)
@@ -389,6 +390,13 @@ class TestVerifyWitness:
         g = make_graph(4, [(0, 1, "+"), (1, 2, "+"), (2, 3, "+"), (0, 3, "+")])
         w = Witness(WitnessKind.SIGNED_TRIANGLE, (0, 1, 2, 3), (Sign.PLUS,) * 4)
         assert "has 4 nodes" in verify_witness(g, w)
+
+    def test_checks_edges_without_building_the_sign_map(self):
+        valid, mismatched = triangle("+", "+", "-"), triangle("+", "+", "+")
+        assert verify_witness(valid, self._bad_cycle()) is None
+        assert "sign mismatch" in verify_witness(mismatched, self._bad_cycle())
+        assert "_sign_map" not in valid.__dict__
+        assert "_sign_map" not in mismatched.__dict__
 
     def test_out_of_range_node_rejected(self):
         w = Witness(WitnessKind.BAD_CYCLE, (0, 1, 7), (Sign.PLUS, Sign.PLUS, Sign.MINUS))

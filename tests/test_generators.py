@@ -172,6 +172,19 @@ class TestCertify:
         assert certify(g, "balance") is None
         assert certify(g, "clusterability") is None
 
+    def test_only_size_caps_return_none(self, monkeypatch):
+        big, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 18))
+        assert certify(big, "triangle-free", pattern="++-") is None
+        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9))
+
+        def failing_solver(graph):
+            # says "caps at" but is no size cap, so certify must not swallow it
+            raise ValueError("solver caps at nothing, this is some other failure")
+
+        monkeypatch.setattr(exact, "frustration_index", failing_solver)
+        with pytest.raises(ValueError, match="other failure"):
+            certify(g, "balance")
+
     def test_triangle_distance_certificate(self):
         g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9))
         pat = (Sign.PLUS, Sign.PLUS, Sign.MINUS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +19,7 @@ from signedtest.generators import (
     generate,
 )
 from signedtest.harness import (
+    OVERRIDES,
     ExperimentConfig,
     parse_pattern,
     run_experiment,
@@ -160,15 +163,6 @@ class TestRunExperiment:
         a = strip_wall_times(run_experiment(cfg).to_dict())
         b = strip_wall_times(run_experiment(cfg).to_dict())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_worker_pool_does_not_change_results(self, monkeypatch):
-        cfg = ExperimentConfig(property="clusterability", model="bounded", eps=0.2,
-                               instance=GenSpec(DISJOINT_BAD_TRIANGLES, 60),
-                               trials=6, seed=9)
-        base = strip_wall_times(run_experiment(cfg).to_dict())
-        monkeypatch.setenv("SIGNEDTEST_WORKERS", "3")
-        pooled = strip_wall_times(run_experiment(cfg).to_dict())
-        assert base == pooled
 
     def test_seed_changes_trials(self):
         spec = GenSpec(DISJOINT_BAD_TRIANGLES, 90)
@@ -344,6 +338,32 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is False and out["error"]
 
+    @pytest.mark.parametrize("record", [
+        {"kind": "bad-cycle", "nodes": 5, "signs": []},
+        [1, 2],
+    ])
+    def test_verify_malformed_witness_is_a_one_line_error(self, tmp_path, capsys, record):
+        gpath = tmp_path / "g.sgl"
+        cli.main(["gen", "--family", "disjoint-bad-triangles", "--n", "9",
+                  "--out", str(gpath)])
+        capsys.readouterr()
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(record))
+        rc = cli.main(["verify", "--graph", str(gpath), "--witness", str(wpath)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed witness record") and err.count("\n") == 1
+
+    def test_override_flags_follow_the_harness_table(self):
+        config_fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(config_fields[config_fields.index("d") + 1:]) == sorted(OVERRIDES)
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command in ("test", "bench"):
+            actions = [a for a in subparsers.choices[command]._actions if a.dest in OVERRIDES]
+            assert sorted(a.dest for a in actions) == sorted(OVERRIDES)
+            assert all(len(a.option_strings) == 1 for a in actions)
+
     def test_bench_rejects_short_n_list(self, tmp_path, capsys):
         rc = cli.main(["bench", "--model", "bounded", "--property", "balance",
                        "--eps", "0.9", "--family", "balanced-two-side",
@@ -397,3 +417,13 @@ class TestCli:
                        "--family", "balanced-two-side", "--n", "10"])
         assert rc == 1
         assert "not both" in capsys.readouterr().err
+
+    def test_n_with_file_instance_errors(self, tmp_path, capsys):
+        gpath = tmp_path / "g.sgl"
+        cli.main(["gen", "--family", "disjoint-bad-triangles", "--n", "30",
+                  "--out", str(gpath)])
+        capsys.readouterr()
+        rc = cli.main(["test", "--model", "dense", "--property", "balance",
+                       "--eps", "0.5", "--trials", "1", "--in", str(gpath), "--n", "999"])
+        assert rc == 1
+        assert "--n only applies to --family" in capsys.readouterr().err
