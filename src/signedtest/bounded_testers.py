@@ -69,7 +69,7 @@ DEFAULT_CONSTANTS = BoundedConstants()
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Explicit walk schedule; overrides the eps-derived defaults."""
+    """Walk schedule: start nodes, walks per start, steps per walk."""
 
     starts: int
     walks_per_start: int
@@ -131,14 +131,6 @@ def gprime_walk_step(o: BoundedDegreeOracle, x: GPrimeNode, rng) -> GPrimeNode:
     return _gprime_step(o, x, slot, coin)
 
 
-def _probe_degree(o: BoundedDegreeOracle, u: int) -> int:
-    """Degree by sequential probing; stops at the first empty slot."""
-    for j in range(1, o.d + 1):
-        if o.query(u, j) is None:
-            return j - 1
-    return o.d
-
-
 def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
     """One attempt to draw a uniform G2 node; None means abstain.
 
@@ -158,20 +150,11 @@ def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
     if res is None:
         return None
     v, sign = res
-    if sign is Sign.MINUS:
-        deg = _probe_degree(o, u)
-        if rng.random() < 1.0 / (4.0 * deg):
-            return original(u)
-        return None
-    if u < v:
-        if rng.random() < 0.25:
-            return subdivision(u, v)
-        deg = _probe_degree(o, u)
-        if rng.random() < 1.0 / (3.0 * deg):
-            return original(u)
-        return None
-    deg = _probe_degree(o, u)
-    if rng.random() < 1.0 / (4.0 * deg):
+    forward_plus = sign is Sign.PLUS and u < v
+    if forward_plus and rng.random() < 0.25:
+        return subdivision(u, v)
+    deg = sum(1 for _ in o.neighbors(u))
+    if rng.random() < 1.0 / ((3.0 if forward_plus else 4.0) * deg):
         return original(u)
     return None
 
@@ -239,29 +222,46 @@ def _splice_tree_paths(parent: dict[int, int | None], u: int, v: int) -> list[in
 
 
 # ---------------------------------------------------------------------------
-# whole-graph fallback
+# whole-graph fallback and the walk-tester frame
 # ---------------------------------------------------------------------------
 
 def read_whole_graph(o: BoundedDegreeOracle) -> SignedGraph:
     """Reconstruct the graph by probing every adjacency list (<= N*d queries)."""
     edges = []
     for v in range(o.n):
-        for j in range(1, o.d + 1):
-            res = o.query(v, j)
-            if res is None:
-                break
-            u, sign = res
+        for u, sign in o.neighbors(v):
             if v < u:
                 edges.append((v, u, sign))
     return SignedGraph.from_edges(o.n, edges, degree_bound=o.d)
 
 
-def _exact_verdict(o: BoundedDegreeOracle, check) -> Verdict:
-    """Read the whole graph and answer exactly; check(g) returns (ok, witness)."""
+def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedConstants,
+                 schedule, budget, check, search) -> Verdict:
+    """Frame shared by the two walk testers.
+
+    ``schedule(n, d, eps, constants)`` gives the WalkParams and
+    ``budget(params, d)`` their query budget. When eps >= 1 or the budget
+    exceeds N*d (and the fallback is allowed), the whole graph is read and
+    ``check(g) -> (ok, witness)`` answers exactly. Otherwise
+    ``search(o, params, rng)`` runs once per start and the first witness it
+    returns rejects.
+    """
+    if o.d < 2 or o.n < 2:
+        raise ValueError("needs degree bound >= 2 and N >= 2")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    p = schedule(o.n, o.d, eps, constants)
     start = o.query_count
-    ok, witness = check(read_whole_graph(o))
-    return Verdict(ok, witness=witness, queries_used=o.query_count - start,
-                   exact_fallback=True)
+    if constants.allow_exact_fallback and (eps >= 1.0 or budget(p, o.d) > o.n * o.d):
+        ok, witness = check(read_whole_graph(o))
+        return Verdict(ok, witness=witness, queries_used=o.query_count - start,
+                       exact_fallback=True)
+    rng = _as_rng(seed)
+    for _ in range(p.starts):
+        w = search(o, p, rng)
+        if w is not None:
+            return Verdict(False, witness=w, queries_used=o.query_count - start)
+    return Verdict(True, queries_used=o.query_count - start)
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +282,8 @@ def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed,
     start = o.query_count
     for v in rng.integers(0, o.n, size=samples):
         v = int(v)
-        nb_v: list[tuple[int, Sign]] = []
-        for j in range(1, o.d + 1):
-            res = o.query(v, j)
-            if res is None:
-                break
-            nb_v.append(res)
-        rows = {}
-        for u, _ in nb_v:
-            row = {}
-            for j in range(1, o.d + 1):
-                res = o.query(u, j)
-                if res is None:
-                    break
-                row[res[0]] = res[1]
-            rows[u] = row
+        nb_v = list(o.neighbors(v))
+        rows = {u: dict(o.neighbors(u)) for u, _ in nb_v}
         for a in range(len(nb_v)):
             u1, s1 = nb_v[a]
             for b in range(a + 1, len(nb_v)):
@@ -338,9 +325,43 @@ def _draw_start(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
     return None
 
 
+def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None:
+    """Draw one G2 start and run its walks; a (node, parity) collision gives
+    an odd-negative-cycle witness. None when the draw abstains or no walk
+    collides."""
+    s = _draw_start(o, rng)
+    if s is None:
+        return None
+    # first arrival (walk index, move count) per (G2 node, path parity);
+    # both parities at one node certify an odd cycle
+    first: dict[tuple[GPrimeNode, int], tuple[int, int]] = {}
+    paths: list[list[GPrimeNode]] = []
+    for widx in range(p.walks_per_start):
+        cur = [s]
+        first.setdefault((s, 0), (widx, 0))
+        slots = rng.integers(1, o.d + 1, size=p.walk_length)
+        coins = rng.random(p.walk_length)
+        x = s
+        for step in range(p.walk_length):
+            nxt = _gprime_step(o, x, int(slots[step]), float(coins[step]))
+            if nxt == x:
+                continue
+            x = nxt
+            cur.append(x)
+            pos = len(cur) - 1
+            first.setdefault((x, pos & 1), (widx, pos))
+            other = first.get((x, 1 - (pos & 1)))
+            if other is not None:
+                owidx, opos = other
+                path_a = paths[owidx][: opos + 1] if owidx < widx else cur[: opos + 1]
+                closed = path_a + list(reversed(cur))[1:]
+                return _contract_to_g_cycle(_extract_odd_cycle(closed))
+        paths.append(cur)
+    return None
+
+
 def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
-                         constants: BoundedConstants = DEFAULT_CONSTANTS,
-                         params: WalkParams | None = None) -> Verdict:
+                         constants: BoundedConstants = DEFAULT_CONSTANTS) -> Verdict:
     """One-sided balance tester via parity collisions of lazy walks on G2.
 
     Testing eps-balancedness of G reduces to testing eps/(d+1)-bipartiteness
@@ -349,55 +370,11 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
     closed odd walk, which is reduced to a simple odd G2 cycle and contracted
     to a G cycle with an odd number of negative edges.
     """
-    if o.d < 2 or o.n < 2:
-        raise ValueError("needs degree bound >= 2 and N >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = params if params is not None else balance_walk_schedule(o.n, o.d, eps, constants)
-    sampler_cost = 16 * o.d * (1 + o.d)
-    budget = p.starts * (sampler_cost + p.walks_per_start * p.walk_length)
-    if constants.allow_exact_fallback and (eps >= 1.0 or budget > o.n * o.d):
-        return _exact_verdict(o, lambda g: ((r := exact.is_balanced(g)).balanced, r.witness))
-    rng = _as_rng(seed)
-    start_count = o.query_count
-    for _ in range(p.starts):
-        s = _draw_start(o, rng)
-        if s is None:
-            continue
-        # first arrival (walk index, move count) per (G2 node, path parity);
-        # both parities at one node certify an odd cycle
-        first: dict[tuple[GPrimeNode, int], tuple[int, int]] = {}
-        paths: list[list[GPrimeNode]] = []
-        for widx in range(p.walks_per_start):
-            cur = [s]
-            first.setdefault((s, 0), (widx, 0))
-            slots = rng.integers(1, o.d + 1, size=p.walk_length)
-            coins = rng.random(p.walk_length)
-            x = s
-            hit = None
-            for step in range(p.walk_length):
-                nxt = _gprime_step(o, x, int(slots[step]), float(coins[step]))
-                if nxt == x:
-                    continue
-                x = nxt
-                cur.append(x)
-                pos = len(cur) - 1
-                first.setdefault((x, pos & 1), (widx, pos))
-                other = first.get((x, 1 - (pos & 1)))
-                if other is not None:
-                    hit = (other, pos)
-                    break
-            if hit is not None:
-                (owidx, opos), pos = hit
-                path_a = paths[owidx][: opos + 1] if owidx < widx else cur[: opos + 1]
-                path_b = cur[: pos + 1]
-                closed = path_a + list(reversed(path_b))[1:]
-                cyc = _extract_odd_cycle(closed)
-                witness = _contract_to_g_cycle(cyc)
-                return Verdict(False, witness=witness,
-                               queries_used=o.query_count - start_count)
-            paths.append(cur)
-    return Verdict(True, queries_used=o.query_count - start_count)
+    return _walk_tester(
+        o, eps, seed, constants, balance_walk_schedule,
+        lambda p, d: p.starts * (16 * d * (1 + d) + p.walks_per_start * p.walk_length),
+        lambda g: ((r := exact.is_balanced(g)).balanced, r.witness),
+        _parity_search)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +404,7 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
                 parent[v] = x
             x = v
     for u in sorted(parent):
-        for j in range(1, o.d + 1):
-            res = o.query(u, j)
-            if res is None:
-                break
-            v, sign = res
+        for v, sign in o.neighbors(u):
             if sign is Sign.MINUS and v in parent:
                 # nodes = u -> lca -> v through positive tree edges; the
                 # closing (v, u) edge is the single negative one
@@ -442,24 +415,12 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
 
 
 def test_clusterability_bounded(o: BoundedDegreeOracle, eps: float, seed,
-                                constants: BoundedConstants = DEFAULT_CONSTANTS,
-                                params: WalkParams | None = None) -> Verdict:
+                                constants: BoundedConstants = DEFAULT_CONSTANTS) -> Verdict:
     """One-sided clusterability tester: repeated bad-cycle searches from
     uniform start nodes."""
-    if o.d < 2 or o.n < 2:
-        raise ValueError("needs degree bound >= 2 and N >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = params if params is not None else cluster_walk_schedule(o.n, o.d, eps, constants)
-    budget = p.starts * (1 + o.d) * p.walks_per_start * p.walk_length
-    if constants.allow_exact_fallback and (eps >= 1.0 or budget > o.n * o.d):
-        return _exact_verdict(
-            o, lambda g: ((r := exact.is_clusterable(g)).clusterable, r.witness))
-    rng = _as_rng(seed)
-    start_count = o.query_count
-    for _ in range(p.starts):
-        s = int(rng.integers(o.n))
-        w = badcycle_search(o, s, p.walks_per_start, p.walk_length, rng)
-        if w is not None:
-            return Verdict(False, witness=w, queries_used=o.query_count - start_count)
-    return Verdict(True, queries_used=o.query_count - start_count)
+    return _walk_tester(
+        o, eps, seed, constants, cluster_walk_schedule,
+        lambda p, d: p.starts * (1 + d) * p.walks_per_start * p.walk_length,
+        lambda g: ((r := exact.is_clusterable(g)).clusterable, r.witness),
+        lambda o, p, rng: badcycle_search(o, int(rng.integers(o.n)),
+                                          p.walks_per_start, p.walk_length, rng))

@@ -83,8 +83,10 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.infile and args.family:
         raise ValueError("pass either --in or --family, not both")
     if args.infile:
-        if args.n is not None:
-            raise ValueError("--n only applies to --family")
+        for flag, value in (("--n", args.n), ("--k", args.k),
+                            ("--planted-fraction", args.planted_fraction)):
+            if value is not None:
+                raise ValueError(f"{flag} only applies to --family")
         instance = args.infile
     elif args.family:
         instance = _genspec_from_args(args)

@@ -95,9 +95,6 @@ class SignedGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[tuple[int, Sign], ...]:
-        return self.adj[v]
-
     def edges(self) -> Iterator[tuple[int, int, Sign]]:
         """Each edge once, as (u, v, sign) with u < v, sorted."""
         out = [(u, v, s) for u in range(self.n) for v, s in self.adj[u] if u < v]

@@ -105,20 +105,8 @@ def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams, c_t: float = C_
 
 
 # ---------------------------------------------------------------------------
-# induced-subgraph plumbing
+# node sampling for induced reads
 # ---------------------------------------------------------------------------
-
-def _query_induced(o: DenseOracle, nodes: list[int]) -> SignedGraph:
-    """Query every pair among the (distinct) nodes; return the induced graph
-    relabeled to 0..len(nodes)-1."""
-    edges = []
-    for i, u in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            s = o.query(u, nodes[j])
-            if s is not None:
-                edges.append((i, j, s))
-    return SignedGraph.from_edges(len(nodes), edges)
-
 
 def _sample_unique_nodes(rng, n: int, samples: int) -> list[int]:
     if samples >= n:
@@ -148,7 +136,7 @@ def test_balance_dense(
     s = node_samples if node_samples is not None else default_node_samples(eps, c_b)
     nodes = _sample_unique_nodes(rng, o.n, s)
     start = o.query_count
-    induced = _query_induced(o, nodes)
+    induced = o.induced(nodes)
     used = o.query_count - start
     assert used <= s * s
     res = exact.is_balanced(induced)
@@ -175,12 +163,7 @@ def estimate_edge_count(o: DenseOracle, eps: float, seed, c_e: float = C_EDGES) 
     q = default_pair_samples(eps, c_e)
     total_pairs = n * (n - 1) // 2
     if q >= total_pairs:
-        hits = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if o.query(u, v) is not None:
-                    hits += 1
-        return float(hits)
+        return float(o.induced(range(n)).num_edges)
     rng = _as_rng(seed)
     us = rng.integers(0, n, size=q)
     vs = rng.integers(0, n - 1, size=q)
@@ -289,7 +272,7 @@ def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, c_e: float, c_c
     full_read = u >= n
     if u < 2:
         return 0.0, o.query_count - start, full_read
-    induced = _query_induced(o, nodes)
+    induced = o.induced(nodes)
     frustr = _induced_k_frustration(induced, k, rng)
     satisfied = induced.num_edges - frustr
     # rescale satisfied constraints by the exact pair ratio; the naive

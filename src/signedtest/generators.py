@@ -72,20 +72,28 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _add_ring(rng, members, used, edges, sign) -> None:
+def _add_edge(u, v, used, edges, sign, degree) -> bool:
+    """Append edge {u, v} unless already present, counting it into degree."""
+    p = _pair(u, v)
+    if p in used:
+        return False
+    used.add(p)
+    edges.append((p[0], p[1], sign))
+    degree[u] += 1
+    degree[v] += 1
+    return True
+
+
+def _add_ring(rng, members, used, edges, sign, degree) -> None:
+    """A ring through members in random order (one edge for two members),
+    skipping pairs already present; counts the new edges into degree."""
     if len(members) < 3:
-        if len(members) == 2:
-            p = _pair(members[0], members[1])
-            if p not in used:
-                used.add(p)
-                edges.append((p[0], p[1], sign))
-        return
-    order = [members[i] for i in rng.permutation(len(members))]
-    for i, u in enumerate(order):
-        p = _pair(u, order[(i + 1) % len(order)])
-        if p not in used:
-            used.add(p)
-            edges.append((p[0], p[1], sign))
+        pairs = [(members[0], members[1])] if len(members) == 2 else []
+    else:
+        order = [members[i] for i in rng.permutation(len(members))]
+        pairs = [(u, order[(i + 1) % len(order)]) for i, u in enumerate(order)]
+    for u, v in pairs:
+        _add_edge(u, v, used, edges, sign, degree)
 
 
 def _add_matching(rng, members, used, edges, sign, degree, degree_cap) -> None:
@@ -94,14 +102,7 @@ def _add_matching(rng, members, used, edges, sign, degree, degree_cap) -> None:
     order = [members[i] for i in rng.permutation(len(members))]
     free = [v for v in order if degree[v] < degree_cap]
     for i in range(0, len(free) - 1, 2):
-        u, v = free[i], free[i + 1]
-        p = _pair(u, v)
-        if p in used:
-            continue
-        used.add(p)
-        edges.append((p[0], p[1], sign))
-        degree[u] += 1
-        degree[v] += 1
+        _add_edge(free[i], free[i + 1], used, edges, sign, degree)
 
 
 def _group_split(n: int, k: int) -> list[list[int]]:
@@ -113,6 +114,22 @@ def _group_split(n: int, k: int) -> list[list[int]]:
     return groups
 
 
+def _complete_groups(groups: list[list[int]]) -> list[tuple[int, int, Sign]]:
+    """Complete graph over consecutive groups: positive inside each group,
+    negative across. Each sign's edges come in (u, v) order."""
+    edges = []
+    for grp in groups:
+        for i, u in enumerate(grp):
+            for v in grp[i + 1:]:
+                edges.append((u, v, Sign.PLUS))
+    for a, grp in enumerate(groups):
+        for u in grp:
+            for later in groups[a + 1:]:
+                for v in later:
+                    edges.append((u, v, Sign.MINUS))
+    return edges
+
+
 def _build_communities(rng, n, d, k, used, edges):
     """Sparse clusterable skeleton: positive rings + matchings inside groups
     (target degree d-2), one negative cross-group matching. Leaves one unit of
@@ -120,11 +137,7 @@ def _build_communities(rng, n, d, k, used, edges):
     groups = _group_split(n, k)
     degree = {v: 0 for v in range(n)}
     for g in groups:
-        before = len(edges)
-        _add_ring(rng, g, used, edges, Sign.PLUS)
-        for u, v, _ in edges[before:]:
-            degree[u] += 1
-            degree[v] += 1
+        _add_ring(rng, g, used, edges, Sign.PLUS, degree)
         for _ in range(max(0, (d - 2) - 2)):
             _add_matching(rng, g, used, edges, Sign.PLUS, degree, d - 2)
     # negative matching across groups
@@ -137,15 +150,11 @@ def _build_communities(rng, n, d, k, used, edges):
     i = 0
     while i + 1 < len(free):
         u, v = free[i], free[i + 1]
-        if gid[u] != gid[v] and _pair(u, v) not in used:
-            used.add(_pair(u, v))
-            edges.append((_pair(u, v)[0], _pair(u, v)[1], Sign.MINUS))
-            degree[u] += 1
-            degree[v] += 1
+        if gid[u] != gid[v] and _add_edge(u, v, used, edges, Sign.MINUS, degree):
             i += 2
         else:
             i += 1
-    return groups, degree, gid
+    return groups, degree
 
 
 def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
@@ -206,11 +215,7 @@ def _gen_all_negative(spec: GenSpec, rng):
     degree = {v: 0 for v in range(spec.n)}
     members = list(range(spec.n))
     for _ in range(d // 2):
-        before = len(edges)
-        _add_ring(rng, members, used, edges, Sign.MINUS)
-        for u, v, _ in edges[before:]:
-            degree[u] += 1
-            degree[v] += 1
+        _add_ring(rng, members, used, edges, Sign.MINUS, degree)
     if d % 2:
         _add_matching(rng, members, used, edges, Sign.MINUS, degree, d)
     g = SignedGraph.from_edges(spec.n, edges, degree_bound=d)
@@ -232,35 +237,23 @@ def _gen_balanced_two_side(spec: GenSpec, rng):
     if spec.n < 4 or spec.n % 2:
         raise ValueError("balanced-two-side needs even n >= 4")
     half = spec.n // 2
-    left, right = list(range(half)), list(range(half, spec.n))
-    used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, Sign]] = []
+    left, right = _group_split(spec.n, 2)
     if spec.d is None:
-        for side in (left, right):
-            for i, u in enumerate(side):
-                for v in side[i + 1:]:
-                    edges.append((u, v, Sign.PLUS))
-        for u in left:
-            for v in right:
-                edges.append((u, v, Sign.MINUS))
-        g = SignedGraph.from_edges(spec.n, edges)
+        g = SignedGraph.from_edges(spec.n, _complete_groups([left, right]))
     else:
         if spec.d < 3:
             raise ValueError("balanced-two-side needs d >= 3 (or d=None for the dense form)")
+        used: set[tuple[int, int]] = set()
+        edges: list[tuple[int, int, Sign]] = []
         degree = {v: 0 for v in range(spec.n)}
         for side in (left, right):
-            before = len(edges)
-            _add_ring(rng, side, used, edges, Sign.PLUS)
-            for u, v, _ in edges[before:]:
-                degree[u] += 1
-                degree[v] += 1
+            _add_ring(rng, side, used, edges, Sign.PLUS, degree)
             for _ in range(max(0, (spec.d - 1) - 2)):
                 _add_matching(rng, side, used, edges, Sign.PLUS, degree, spec.d - 1)
         # one negative perfect matching across the sides
         perm = rng.permutation(half)
         for i, u in enumerate(left):
             v = right[perm[i]]
-            used.add(_pair(u, v))
             edges.append((u, v, Sign.MINUS))
         g = SignedGraph.from_edges(spec.n, edges, degree_bound=spec.d)
     extra = {
@@ -281,27 +274,16 @@ def _gen_communities(spec: GenSpec, rng):
     k = spec.k if spec.k is not None else 2
     if k < 1 or k > spec.n:
         raise ValueError("clusterable-communities needs 1 <= k <= n")
-    used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, Sign]] = []
     if spec.d is None:
-        groups = _group_split(spec.n, k)
-        gid = {v: i for i, g in enumerate(groups) for v in g}
-        for grp in groups:
-            for i, u in enumerate(grp):
-                for v in grp[i + 1:]:
-                    edges.append((u, v, Sign.PLUS))
-        for u in range(spec.n):
-            for v in range(u + 1, spec.n):
-                if gid[u] != gid[v]:
-                    edges.append((u, v, Sign.MINUS))
-        g = SignedGraph.from_edges(spec.n, edges)
-        groups_out = groups
+        groups_out = _group_split(spec.n, k)
+        g = SignedGraph.from_edges(spec.n, _complete_groups(groups_out))
     else:
         if spec.d < 4:
             raise ValueError("clusterable-communities needs d >= 4 (or d=None for the dense form)")
         if spec.n // k < 3:
             raise ValueError("clusterable-communities needs groups of size >= 3")
-        groups_out, _, _ = _build_communities(rng, spec.n, spec.d, k, used, edges)
+        edges: list[tuple[int, int, Sign]] = []
+        groups_out, _ = _build_communities(rng, spec.n, spec.d, k, set(), edges)
         g = SignedGraph.from_edges(spec.n, edges, degree_bound=spec.d)
     extra = {
         "properties": {"balanced": None, "clusterable": True},
@@ -332,7 +314,7 @@ def _gen_planted_matching(spec: GenSpec, rng):
         raise ValueError("planted_fraction too small: no edges to plant")
     used: set[tuple[int, int]] = set()
     edges: list[tuple[int, int, Sign]] = []
-    groups, degree, gid = _build_communities(rng, spec.n, d, k, used, edges)
+    groups, degree = _build_communities(rng, spec.n, d, k, used, edges)
     planted = 0
     planted_nodes: set[int] = set()
     attempts = 0
@@ -341,14 +323,10 @@ def _gen_planted_matching(spec: GenSpec, rng):
         grp = groups[int(rng.integers(len(groups)))]
         u, v = (int(x) for x in rng.choice(len(grp), size=2, replace=False))
         u, v = grp[u], grp[v]
-        if u in planted_nodes or v in planted_nodes or _pair(u, v) in used:
+        if u in planted_nodes or v in planted_nodes or degree[u] >= d or degree[v] >= d:
             continue
-        if degree[u] >= d or degree[v] >= d:
+        if not _add_edge(u, v, used, edges, Sign.MINUS, degree):
             continue
-        used.add(_pair(u, v))
-        edges.append((_pair(u, v)[0], _pair(u, v)[1], Sign.MINUS))
-        degree[u] += 1
-        degree[v] += 1
         planted_nodes.update((u, v))
         planted += 1
     if planted < target:

@@ -57,13 +57,17 @@ def witness_from_json(d: dict) -> Witness:
     if not isinstance(d, dict):
         raise ValueError(f"malformed witness record: expected an object, got {type(d).__name__}")
     try:
-        kind = _TOKEN_KINDS[d["kind"]]
-        nodes, signs = d["nodes"], d["signs"]
+        kind, nodes, signs = d["kind"], d["nodes"], d["signs"]
     except KeyError as exc:
         raise ValueError(f"malformed witness record: missing {exc}") from exc
+    if not (isinstance(kind, str) and kind in _TOKEN_KINDS):
+        raise ValueError(f"malformed witness record: unknown kind {kind!r}")
     if not (isinstance(nodes, list) and isinstance(signs, list)):
         raise ValueError("malformed witness record: nodes and signs must be lists")
-    return Witness(kind, tuple(int(v) for v in nodes), tuple(Sign.from_token(s) for s in signs))
+    # bool is an int subclass and int() would truncate 1.7 or parse "3"
+    if not all(type(v) is int for v in nodes):
+        raise ValueError("malformed witness record: node ids must be integers")
+    return Witness(_TOKEN_KINDS[kind], tuple(nodes), tuple(Sign.from_token(s) for s in signs))
 
 
 def parse_pattern(text: str):

@@ -1,9 +1,10 @@
 """Query oracles over signed graphs, with exact query accounting.
 
 Testers never touch a ``SignedGraph`` directly; they see one of the two query
-models here. Every oracle call increments ``query_count`` by one, including
-out-of-range adjacency answers. Free metadata is limited to the node count
-and (bounded model) the degree bound.
+models here. Every adjacency-matrix entry and every neighbor slot read adds
+one to ``query_count``, including empty-slot answers, whether it is read by
+``query`` or by a bulk read (``induced``, ``neighbors``). Free metadata is
+limited to the node count and (bounded model) the degree bound.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -12,7 +13,7 @@ The testers of both models also share the seeded randomness and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +39,24 @@ class DenseOracle:
             raise ValueError(f"query ({u},{v}) out of range for n={self.n}")
         self.query_count += 1
         return self._signs.get((u, v))
+
+    def induced(self, nodes) -> SignedGraph:
+        """Read every pair among distinct nodes, charged k(k-1)/2 queries, and
+        return the induced graph relabeled to 0..k-1 in the given order."""
+        k = len(nodes)
+        if len(set(nodes)) != k:
+            raise ValueError("induced read needs distinct nodes")
+        if k and not (0 <= min(nodes) and max(nodes) < self.n):
+            raise ValueError(f"induced read out of range for n={self.n}")
+        self.query_count += k * (k - 1) // 2
+        signs = self._signs
+        edges = []
+        for i, u in enumerate(nodes):
+            for j in range(i + 1, k):
+                s = signs.get((u, nodes[j]))
+                if s is not None:
+                    edges.append((i, j, s))
+        return SignedGraph.from_edges(k, edges)
 
     def reset_count(self) -> None:
         self.query_count = 0
@@ -71,6 +90,20 @@ class BoundedDegreeOracle:
         if i <= len(row):
             return row[i - 1]
         return None
+
+    def neighbors(self, v: int) -> Iterator[tuple[int, Sign]]:
+        """Read slots 1..d of v in order, yielding (neighbor, sign) up to the
+        first empty slot. Each slot read costs one query as it is read, the
+        empty one included, so a caller that stops early pays only for the
+        slots it took. The range check on v runs at the first read."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} out of range for n={self.n}")
+        row = self._adj[v]
+        for pair in row:
+            self.query_count += 1
+            yield pair
+        if len(row) < self.d:
+            self.query_count += 1
 
     def reset_count(self) -> None:
         self.query_count = 0

@@ -299,6 +299,19 @@ class TestBadCycleSearch:
         assert sum(1 for s in w.signs if s is Sign.MINUS) == 1
 
 
+class TestReadWholeGraph:
+    @pytest.mark.parametrize("spec", [
+        GenSpec(CLUSTERABLE_COMMUNITIES, 60, seed=2, d=6, k=4),
+        GenSpec(DISJOINT_BAD_TRIANGLES, 31, d=3),  # short rows and one isolated node
+    ])
+    def test_rebuilds_the_graph_at_one_query_per_slot_read(self, spec):
+        g, _ = generate(spec)
+        o = _oracle(g)
+        h = bt.read_whole_graph(o)
+        assert list(h.edges()) == list(g.edges())
+        assert o.query_count == sum(min(g.degree(v) + 1, g.degree_bound) for v in range(g.n))
+
+
 class TestTriangleBounded:
     def test_one_sided_on_pattern_free(self):
         rng = np.random.default_rng(12)
@@ -437,13 +450,6 @@ class TestClusterabilityBounded:
                 assert exact.verify_witness(g, v.witness) is None
                 rejects += 1
         assert rejects >= 25
-
-    def test_walk_params_override(self):
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 120))
-        p = bt.WalkParams(starts=30, walks_per_start=20, walk_length=4)
-        v = bt.test_clusterability_bounded(_oracle(g), 0.5, 0,
-                                           constants=WALK_CLU, params=p)
-        assert not v.accept
 
 
 class TestConfigValidation:

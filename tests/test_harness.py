@@ -260,7 +260,7 @@ class TestWitnessJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             witness_from_json({"kind": "bad-cycle", "nodes": [1, 2, 3]})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown kind 'nope'"):
             witness_from_json({"kind": "nope", "nodes": [1], "signs": ["+"]})
 
 
@@ -341,6 +341,12 @@ class TestCli:
     @pytest.mark.parametrize("record", [
         {"kind": "bad-cycle", "nodes": 5, "signs": []},
         [1, 2],
+        {"kind": "bad-cycle", "nodes": [0, None, 2], "signs": ["+", "+", "-"]},
+        {"kind": ["x"], "nodes": [0, 1, 2], "signs": ["+", "+", "-"]},
+        {"kind": "nope", "nodes": [0, 1, 2], "signs": ["+", "+", "-"]},
+        {"kind": "bad-cycle", "nodes": [0, 1.7, 2], "signs": ["+", "+", "-"]},
+        {"kind": "bad-cycle", "nodes": [0, "1", 2], "signs": ["+", "+", "-"]},
+        {"kind": "bad-cycle", "nodes": [0, True, 2], "signs": ["+", "+", "-"]},
     ])
     def test_verify_malformed_witness_is_a_one_line_error(self, tmp_path, capsys, record):
         gpath = tmp_path / "g.sgl"
@@ -427,3 +433,17 @@ class TestCli:
                        "--eps", "0.5", "--trials", "1", "--in", str(gpath), "--n", "999"])
         assert rc == 1
         assert "--n only applies to --family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--k", "7"), ("--planted-fraction", "0.1")])
+    def test_family_parameters_with_file_instance_error(self, tmp_path, capsys, flag, value):
+        gpath = tmp_path / "g.sgl"
+        cli.main(["gen", "--family", "disjoint-bad-triangles", "--n", "30",
+                  "--out", str(gpath)])
+        capsys.readouterr()
+        rc = cli.main(["test", "--model", "bounded", "--property", "triangle",
+                       "--eps", "0.5", "--trials", "1", "--in", str(gpath), "--d", "2",
+                       flag, value, "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} only applies to --family\n"
+        assert not (tmp_path / "r.json").exists()

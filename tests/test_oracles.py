@@ -69,6 +69,27 @@ class TestDenseOracle:
             assert o.query(u, v) is lookup.get((u, v))
         assert o.query_count == asked
 
+    def test_induced_charges_every_pair_and_adds_edges_in_pair_order(self):
+        rng = np.random.default_rng(3)
+        g = random_signed_graph(rng, 12, p_edge=0.5)
+        for nodes in ([5, 0, 11, 3, 7], [2, 9], [4], list(range(12))):
+            o, ref = DenseOracle(g), DenseOracle(g)
+            got = o.induced(nodes)
+            k = len(nodes)
+            assert o.query_count == k * (k - 1) // 2
+            # reference: one query per pair, i < j, in the given node order
+            edges = [(i, j, ref.query(nodes[i], nodes[j]))
+                     for i in range(k) for j in range(i + 1, k)]
+            expected = SignedGraph.from_edges(k, [e for e in edges if e[2] is not None])
+            assert got == expected
+
+    @pytest.mark.parametrize("nodes", [[0, 1, 0], [0, 3], [-1, 2]])
+    def test_induced_rejects_repeated_or_out_of_range_uncharged(self, nodes):
+        o = DenseOracle(triangle(Sign.PLUS, Sign.PLUS, Sign.MINUS))
+        with pytest.raises(ValueError):
+            o.induced(nodes)
+        assert o.query_count == 0
+
 
 class TestBoundedDegreeOracle:
     def test_requires_degree_bound(self):
@@ -117,6 +138,30 @@ class TestBoundedDegreeOracle:
             else:
                 assert got is None
         assert o.query_count == 100_000
+
+    def test_neighbors_charges_each_slot_read_up_to_the_first_empty(self):
+        g = make_graph(5, [(0, 1, Sign.PLUS), (0, 2, Sign.MINUS), (0, 3, Sign.PLUS),
+                           (1, 2, Sign.MINUS)], d=3)
+        o = BoundedDegreeOracle(g)
+        for v, cost in ((0, 3), (1, 3), (3, 2), (4, 1)):  # full row costs d, else deg + 1
+            before = o.query_count
+            assert list(o.neighbors(v)) == list(g.adj[v])
+            assert o.query_count - before == cost
+
+    def test_neighbors_stopped_early_pays_only_for_slots_read(self):
+        g = make_graph(4, [(0, 1, Sign.PLUS), (0, 2, Sign.MINUS), (0, 3, Sign.PLUS)], d=4)
+        for j in (1, 2, 3):
+            o = BoundedDegreeOracle(g)
+            pairs = o.neighbors(0)
+            assert [next(pairs) for _ in range(j)] == list(g.adj[0][:j])
+            assert o.query_count == j
+
+    def test_neighbors_out_of_range_rejected_and_uncharged(self):
+        o = BoundedDegreeOracle(make_graph(3, [(0, 1, Sign.PLUS)], d=2))
+        for v in (-1, 3):
+            with pytest.raises(ValueError):
+                next(o.neighbors(v))
+        assert o.query_count == 0
 
 
 class TestRandomSource:
