@@ -8,12 +8,11 @@ from .core import (
     Witness,
     WitnessKind,
     load_edge_list,
-    positive_subgraph,
     save_edge_list,
     validate,
     zaslavsky_transform,
 )
-from .generators import GenSpec, certify, generate
+from .generators import GenSpec, generate
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, run_scaling, wilson
 
 __version__ = "0.1.0"
@@ -22,7 +21,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "GenSpec",
-    "certify",
     "generate",
     "run_experiment",
     "run_scaling",
@@ -34,7 +32,6 @@ __all__ = [
     "Witness",
     "WitnessKind",
     "load_edge_list",
-    "positive_subgraph",
     "save_edge_list",
     "validate",
     "zaslavsky_transform",

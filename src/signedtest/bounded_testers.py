@@ -60,8 +60,8 @@ class BoundedConstants:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 DEFAULT_CONSTANTS = BoundedConstants()
@@ -74,10 +74,6 @@ class WalkParams:
     starts: int
     walks_per_start: int
     walk_length: int
-
-    def __post_init__(self) -> None:
-        if min(self.starts, self.walks_per_start, self.walk_length) < 1:
-            raise ValueError("all walk parameters must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +91,6 @@ def _lazy_step(o: BoundedDegreeOracle, v: int, slot: int, restrict_to_positive: 
     if restrict_to_positive and sign is Sign.MINUS:
         return v
     return u
-
-
-def lazy_walk_step(o: BoundedDegreeOracle, v: int, restrict_to_positive: bool, rng) -> int:
-    """One lazy step from v through a uniform neighbor slot (public single-step form)."""
-    return _lazy_step(o, v, int(rng.integers(1, o.d + 1)), restrict_to_positive)
 
 
 def _gprime_step(o: BoundedDegreeOracle, x: GPrimeNode, slot: int, coin: float) -> GPrimeNode:
@@ -122,13 +113,6 @@ def _gprime_step(o: BoundedDegreeOracle, x: GPrimeNode, slot: int, coin: float) 
     if coin * o.d < 2.0:
         return original(x.u if coin * o.d < 1.0 else x.v)
     return x
-
-
-def gprime_walk_step(o: BoundedDegreeOracle, x: GPrimeNode, rng) -> GPrimeNode:
-    """One lazy step of the G2 walk (public single-step form)."""
-    slot = int(rng.integers(1, o.d + 1))
-    coin = float(rng.random())
-    return _gprime_step(o, x, slot, coin)
 
 
 def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
@@ -333,7 +317,7 @@ def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None
     if s is None:
         return None
     # first arrival (walk index, move count) per (G2 node, path parity);
-    # both parities at one node certify an odd cycle
+    # both parities at one node prove an odd cycle
     first: dict[tuple[GPrimeNode, int], tuple[int, int]] = {}
     paths: list[list[GPrimeNode]] = []
     for widx in range(p.walks_per_start):

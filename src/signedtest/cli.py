@@ -29,15 +29,8 @@ from .harness import (
 )
 
 
-def _json_default(obj):
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -251,7 +244,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # ArithmeticError: finite but extreme values (--eps 1e-300, --c2 1e308)
+        # whose budgets overflow or divide by zero
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

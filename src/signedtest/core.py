@@ -238,12 +238,6 @@ def dumps_edge_list(g: SignedGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def positive_subgraph(g: SignedGraph) -> SignedGraph:
-    """Subgraph keeping only positive edges; node set and degree bound unchanged."""
-    edges = [(u, v, s) for u, v, s in g.edges() if s is Sign.PLUS]
-    return SignedGraph.from_edges(g.n, edges, g.degree_bound)
-
-
 class GPrimeNode(NamedTuple):
     """A node of the subdivision graph: original u (v is None), or the
     midpoint of positive edge (u, v) with u < v."""

@@ -127,7 +127,9 @@ def test_balance_dense(
     node_samples: int | None = None,
 ) -> Verdict:
     """Sample nodes, read the whole induced subgraph, accept iff it is
-    balanced. Unbalance witnesses lift back to original node ids."""
+    balanced. Unbalance witnesses lift back to original node ids. When the
+    draw covers all N nodes the read is the whole graph and the answer is
+    exact, flagged as ``exact_fallback``."""
     if o.n < 2:
         raise ValueError("balance testing needs N >= 2")
     if not 0 < eps <= 1:
@@ -139,12 +141,13 @@ def test_balance_dense(
     induced = o.induced(nodes)
     used = o.query_count - start
     assert used <= s * s
+    full_read = len(nodes) == o.n
     res = exact.is_balanced(induced)
     if res.balanced:
-        return Verdict(True, queries_used=used)
+        return Verdict(True, queries_used=used, exact_fallback=full_read)
     w = res.witness
     lifted = Witness(w.kind, tuple(nodes[i] for i in w.nodes), w.signs)
-    return Verdict(False, witness=lifted, queries_used=used)
+    return Verdict(False, witness=lifted, queries_used=used, exact_fallback=full_read)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -342,31 +342,6 @@ def merge_small_clusters(clustering: Clustering, n: int, eps: float) -> Clusteri
     # guaranteed by the size accounting; 1e-9 guards float noise in 1/eps
     assert merged.k <= int(np.ceil(1.0 / eps - 1e-9))
     return merged
-
-
-def is_eps_good_cluster(
-    g: SignedGraph, nodes: Iterable[int], eps: float, d: int
-) -> tuple[bool, str | None]:
-    """Check both half-eps budgets for a candidate cluster S: positive edges
-    leaving S and negative edges inside S must each be <= eps*d*|S|/2."""
-    s_set = set(nodes)
-    if not s_set:
-        raise ValueError("cluster must be nonempty")
-    bound = eps * d * len(s_set) / 2
-    pos_out = 0
-    neg_in = 0
-    for u in s_set:
-        for v, s in g.adj[u]:
-            if v in s_set:
-                if s is Sign.MINUS and u < v:
-                    neg_in += 1
-            elif s is Sign.PLUS:
-                pos_out += 1
-    if pos_out > bound:
-        return False, f"positive outgoing {pos_out} > bound {bound:g}"
-    if neg_in > bound:
-        return False, f"negative internal {neg_in} > bound {bound:g}"
-    return True, None
 
 
 # ---------------------------------------------------------------------------

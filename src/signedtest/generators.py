@@ -13,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from . import exact
 from .core import Sign, SignedGraph
 
 CLUSTERABLE_COMMUNITIES = "clusterable-communities"
@@ -47,20 +46,6 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-
-@dataclass(frozen=True)
-class DistanceCertificate:
-    """Lower bound (and when exact, the value) of the edit distance from a
-    property, with the model's normalization: eps = edits/n^2 (dense) or
-    edits/(d*n) (bounded)."""
-
-    property: str
-    model: str
-    edits: int
-    epsilon: float
-    kind: str              # "exact" or "construction-backed"
-    note: str = ""
 
 
 def _rng_for(spec: GenSpec) -> np.random.Generator:
@@ -349,35 +334,3 @@ def _gen_planted_matching(spec: GenSpec, rng):
         "planted": planted,
     }
     return g, extra
-
-
-def certify(
-    g: SignedGraph,
-    prop: str,
-    model: str = "dense",
-    d: int | None = None,
-    pattern=None,
-) -> DistanceCertificate | None:
-    """Exact distance certificate via brute force, or None when the instance
-    is too large for the exact solvers' size caps."""
-    if model not in ("dense", "bounded"):
-        raise ValueError("model must be 'dense' or 'bounded'")
-    if model == "bounded":
-        d = d if d is not None else g.degree_bound
-        if d is None:
-            raise ValueError("bounded-model certification needs a degree bound")
-    try:
-        if prop == "balance":
-            edits = exact.frustration_index(g)
-        elif prop == "clusterability":
-            edits = exact.weak_frustration_index(g)
-        elif prop == "triangle-free":
-            if pattern is None:
-                raise ValueError("triangle-free certification needs a pattern")
-            edits = exact.triangle_free_distance(g, pattern)
-        else:
-            raise ValueError(f"unknown property {prop!r}")
-    except exact.SizeCapError:
-        return None
-    eps = edits / (g.n * g.n) if model == "dense" else edits / (d * g.n)
-    return DistanceCertificate(prop, model, edits, eps, "exact")

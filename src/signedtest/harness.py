@@ -70,12 +70,6 @@ def witness_from_json(d: dict) -> Witness:
     return Witness(_TOKEN_KINDS[kind], tuple(nodes), tuple(Sign.from_token(s) for s in signs))
 
 
-def parse_pattern(text: str):
-    if len(text) != 3 or any(ch not in "+-" for ch in text):
-        raise ValueError(f"pattern must be 3 signs like '++-', got {text!r}")
-    return tuple(Sign.from_token(ch) for ch in text)
-
-
 def wilson(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """95% (by default) Wilson score interval for a binomial proportion."""
     if trials < 1:
@@ -136,10 +130,14 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         for name, kind in OVERRIDES.items():
             v = getattr(self, name)
-            if v is not None and kind is not bool and name not in _EXPONENTS and v <= 0:
+            if v is None or kind is bool:
+                continue
+            if kind is float and not math.isfinite(v):
+                raise ValueError(f"override {name} must be finite, got {v}")
+            if name not in _EXPONENTS and v <= 0:
                 raise ValueError(f"override {name} must be positive")
         if self.property == "triangle":
-            parse_pattern(self.pattern)
+            exact.triangle_pattern(self.pattern)
 
     def bounded_constants(self) -> bt.BoundedConstants:
         kw = {f.name: getattr(self, f.name) for f in dataclasses.fields(bt.BoundedConstants)
@@ -179,9 +177,8 @@ def _dense_constants(cfg: ExperimentConfig) -> dict:
 def _dense_triangle(cfg: ExperimentConfig, g: SignedGraph):
     c = _dense_constants(cfg)
     c["triple_samples"] = _or(cfg.triple_samples, dt.default_triple_samples(cfg.eps, c["c_t"]))
-    pattern = parse_pattern(cfg.pattern)
     return c, lambda rng: dt.test_triangle_dense(
-        DenseOracle(g), pattern,
+        DenseOracle(g), cfg.pattern,
         dt.DenseParams(eps=cfg.eps, seed=rng, triple_samples=c["triple_samples"]))
 
 
@@ -208,9 +205,8 @@ def _bounded_constants(cfg: ExperimentConfig) -> tuple[dict, bt.BoundedConstants
 
 def _bounded_triangle(cfg: ExperimentConfig, g: SignedGraph):
     c, _ = _bounded_constants(cfg)
-    pattern = parse_pattern(cfg.pattern)
     return c, lambda rng: bt.test_triangle_bounded(
-        BoundedDegreeOracle(g), pattern, cfg.eps, rng, c_t=c["c_t"])
+        BoundedDegreeOracle(g), cfg.pattern, cfg.eps, rng, c_t=c["c_t"])
 
 
 def _bounded_walk(schedule, tester):

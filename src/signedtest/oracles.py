@@ -27,7 +27,6 @@ class DenseOracle:
     """
 
     def __init__(self, graph: SignedGraph):
-        self._graph = graph
         self.n = graph.n
         self.query_count = 0
         self._signs = graph._sign_map  # shared immutable lookup
@@ -58,9 +57,6 @@ class DenseOracle:
                     edges.append((i, j, s))
         return SignedGraph.from_edges(k, edges)
 
-    def reset_count(self) -> None:
-        self.query_count = 0
-
 
 class BoundedDegreeOracle:
     """Adjacency-list access: query(v, i) -> (neighbor, sign) or None when
@@ -74,7 +70,6 @@ class BoundedDegreeOracle:
     def __init__(self, graph: SignedGraph):
         if graph.degree_bound is None:
             raise ValueError("bounded-degree oracle needs a graph with a degree bound")
-        self._graph = graph
         self.n = graph.n
         self.d = graph.degree_bound
         self.query_count = 0
@@ -104,9 +99,6 @@ class BoundedDegreeOracle:
             yield pair
         if len(row) < self.d:
             self.query_count += 1
-
-    def reset_count(self) -> None:
-        self.query_count = 0
 
 
 @dataclass(frozen=True)

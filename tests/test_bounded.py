@@ -42,6 +42,18 @@ def _oracle(g):
     return BoundedDegreeOracle(g)
 
 
+def _lazy_step(o, v, restrict_to_positive, rng):
+    """One lazy G walk step through the testers' step core, fed a uniform slot."""
+    return bt._lazy_step(o, v, int(rng.integers(1, o.d + 1)), restrict_to_positive)
+
+
+def _gprime_step(o, x, rng):
+    """One G2 walk step through the balance tester's step core, fed a uniform
+    slot and then a uniform coin."""
+    slot = int(rng.integers(1, o.d + 1))
+    return bt._gprime_step(o, x, slot, float(rng.random()))
+
+
 # walk-path constants used when exercising the sampling machinery on desk-
 # scale instances (the defaults would fall back to reading the whole graph)
 WALK_BAL = bt.BoundedConstants(allow_exact_fallback=False, c1=1.0, c2=0.02,
@@ -55,13 +67,13 @@ class TestLazyWalkStep:
         g = make_graph(3, [(0, 1, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(0)
-        assert all(bt.lazy_walk_step(o, 2, False, rng) == 2 for _ in range(50))
+        assert all(_lazy_step(o, 2, False, rng) == 2 for _ in range(50))
 
     def test_full_degree_always_moves(self):
         g = make_graph(3, [(0, 1, Sign.PLUS), (0, 2, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(1)
-        moves = [bt.lazy_walk_step(o, 0, False, rng) for _ in range(200)]
+        moves = [_lazy_step(o, 0, False, rng) for _ in range(200)]
         assert 0 not in moves and {1, 2} == set(moves)
 
     def test_positive_restriction_rate(self):
@@ -70,8 +82,9 @@ class TestLazyWalkStep:
         o = _oracle(g)
         rng = np.random.default_rng(2)
         n = 100_000
-        moved = sum(bt.lazy_walk_step(o, 0, True, rng) == 1 for _ in range(n))
-        assert abs(moved / n - 0.25) < 0.02
+        outs = Counter(_lazy_step(o, 0, True, rng) for _ in range(n))
+        assert outs[2] == 0  # never across the negative edge
+        assert abs(outs[1] / n - 0.25) < 0.02
         assert o.query_count == n  # exactly one query per step
 
 
@@ -80,7 +93,7 @@ class TestGPrimeWalkStep:
         g = _ppm_triangle(d=2)
         o = _oracle(g)
         rng = np.random.default_rng(3)
-        outs = Counter(bt.gprime_walk_step(o, subdivision(0, 1), rng) for _ in range(2000))
+        outs = Counter(_gprime_step(o, subdivision(0, 1), rng) for _ in range(2000))
         assert set(outs) == {original(0), original(1)}
         assert abs(outs[original(0)] / 2000 - 0.5) < 0.05
 
@@ -89,14 +102,14 @@ class TestGPrimeWalkStep:
         o = _oracle(g)
         rng = np.random.default_rng(4)
         n = 100_000
-        moved = sum(bt.gprime_walk_step(o, original(0), rng) == original(1) for _ in range(n))
+        moved = sum(_gprime_step(o, original(0), rng) == original(1) for _ in range(n))
         assert abs(moved / n - 1 / 3) < 0.02
 
     def test_positive_edge_enters_subdivision(self):
         g = make_graph(2, [(0, 1, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(5)
-        outs = {bt.gprime_walk_step(o, original(0), rng) for _ in range(100)}
+        outs = {_gprime_step(o, original(0), rng) for _ in range(100)}
         assert outs <= {original(0), subdivision(0, 1)}
         assert subdivision(0, 1) in outs
 
@@ -123,7 +136,7 @@ class TestGPrimeWalkStep:
         for i, node in enumerate(names):
             counts = np.zeros(gp.n)
             for _ in range(per_state):
-                nxt = bt.gprime_walk_step(o, node, rng)
+                nxt = _gprime_step(o, node, rng)
                 counts[idx[nxt]] += 1
             tv = 0.5 * np.abs(counts / per_state - expected[i]).sum()
             assert tv <= 0.02, (node, tv)
@@ -137,7 +150,7 @@ class TestGPrimeWalkStep:
         x = original(0)
         occ = Counter()
         for _ in range(10_000):
-            x = bt.gprime_walk_step(o, x, rng)
+            x = _gprime_step(o, x, rng)
             occ[x] += 1
         assert len(occ) == 5
         tv = 0.5 * sum(abs(c / 10_000 - 0.2) for c in occ.values())
@@ -456,10 +469,9 @@ class TestConfigValidation:
     def test_constants_positive(self):
         with pytest.raises(ValueError, match="c2"):
             bt.BoundedConstants(c2=0)
-
-    def test_walk_params_positive(self):
-        with pytest.raises(ValueError):
-            bt.WalkParams(starts=0, walks_per_start=1, walk_length=1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="c5 must be positive and finite"):
+                bt.BoundedConstants(c5=bad)
 
     def test_eps_validation(self):
         g = _ppm_triangle(d=2)

@@ -18,7 +18,6 @@ from signedtest.core import (
     dumps_edge_list,
     load_edge_list,
     original,
-    positive_subgraph,
     save_edge_list,
     subdivision,
     validate,
@@ -190,14 +189,6 @@ class TestEdgeListFormat:
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             load_edge_list(io.StringIO("# c\n2 1\n0 1 ?\n"))
-
-
-class TestPositiveSubgraph:
-    def test_drops_negative_edges_only(self):
-        g = triangle("+", "-", "-", d=2)
-        p = positive_subgraph(g)
-        assert list(p.edges()) == [(0, 1, Sign.PLUS)]
-        assert p.n == 3 and p.degree_bound == 2
 
 
 class TestZaslavskyTransform:

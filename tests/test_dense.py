@@ -130,6 +130,14 @@ class TestBalanceDense:
         v = dt.test_balance_dense(o, 0.3, 7)
         assert v.queries_used <= s * s
 
+    def test_full_read_flagged_exact(self):
+        # 28 draws at eps 0.5 cover all 5 nodes: every pair is read
+        v = dt.test_balance_dense(DenseOracle(_partial_bad_triangles(5, 1)), 0.5, 0)
+        assert not v.accept and v.exact_fallback and v.queries_used == 10
+        # 81 draws at eps 0.3 cannot cover 120 nodes
+        v = dt.test_balance_dense(DenseOracle(_partial_bad_triangles(120, 40)), 0.3, 0)
+        assert not v.exact_fallback and v.queries_used < 120 * 119 // 2
+
     def test_witness_uses_original_ids(self):
         # far instance with node ids that differ from induced positions
         g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 60))

@@ -15,7 +15,6 @@ from signedtest.exact import (
     has_signed_triangle,
     is_balanced,
     is_clusterable,
-    is_eps_good_cluster,
     k_frustration_index,
     merge_small_clusters,
     positive_component_clustering,
@@ -326,29 +325,6 @@ class TestMergeSmallClusters:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             merge_small_clusters(Clustering((0,), 1), 1, 0.0)
-
-
-class TestEpsGoodCluster:
-    def test_positive_clique_half_fails_outgoing(self):
-        edges = [(u, v, "+") for u, v in itertools.combinations(range(8), 2)]
-        g = make_graph(8, edges)
-        ok, reason = is_eps_good_cluster(g, range(4), 0.5, 7)
-        assert not ok and "positive outgoing" in reason
-
-    def test_clean_community_passes(self):
-        edges = [(0, 1, "+"), (1, 2, "+"), (0, 2, "+"), (3, 4, "+"), (2, 3, "-")]
-        g = make_graph(5, edges)
-        ok, reason = is_eps_good_cluster(g, [0, 1, 2], 0.5, 3)
-        assert ok and reason is None
-
-    def test_internal_negatives_flagged(self):
-        g = triangle("+", "+", "-")
-        ok, reason = is_eps_good_cluster(g, [0, 1, 2], 0.1, 2)
-        assert not ok and "negative internal" in reason
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            is_eps_good_cluster(triangle("+", "+", "+"), [], 0.5, 2)
 
 
 class TestVerifyWitness:

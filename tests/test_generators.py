@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from signedtest import exact
-from signedtest.core import Sign, dumps_edge_list, validate
+from signedtest.core import dumps_edge_list, validate
 from signedtest.generators import (
     ALL_NEGATIVE_REGULAR,
     BALANCED_TWO_SIDE,
@@ -14,9 +13,7 @@ from signedtest.generators import (
     DISJOINT_BAD_TRIANGLES,
     FAMILIES,
     PLANTED_NEGATIVE_MATCHING,
-    DistanceCertificate,
     GenSpec,
-    certify,
     generate,
 )
 
@@ -57,6 +54,9 @@ class TestDeterminismAndValidity:
             assert validate(g) is None
             if g.degree_bound is not None:
                 assert meta["degree"]["max"] <= g.degree_bound
+
+    def test_every_family_name_exported(self):
+        assert len(FAMILIES) == 5
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -150,69 +150,3 @@ class TestParameterValidation:
     def test_bad_parameters_raise(self, spec, msg):
         with pytest.raises(ValueError, match=msg):
             generate(GenSpec(**spec))
-
-
-class TestCertify:
-    def test_exact_balance_certificate(self):
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9))
-        cert = certify(g, "balance", model="dense")
-        assert isinstance(cert, DistanceCertificate)
-        assert cert.edits == 3
-        assert cert.epsilon == pytest.approx(3 / 81)
-        assert cert.kind == "exact"
-
-    def test_bounded_normalization(self):
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9, d=2))
-        cert = certify(g, "clusterability", model="bounded")
-        assert cert.edits == 3
-        assert cert.epsilon == pytest.approx(3 / (2 * 9))
-
-    def test_too_large_returns_none(self):
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 99))
-        assert certify(g, "balance") is None
-        assert certify(g, "clusterability") is None
-
-    def test_only_size_caps_return_none(self, monkeypatch):
-        big, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 18))
-        assert certify(big, "triangle-free", pattern="++-") is None
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9))
-
-        def failing_solver(graph):
-            # says "caps at" but is no size cap, so certify must not swallow it
-            raise ValueError("solver caps at nothing, this is some other failure")
-
-        monkeypatch.setattr(exact, "frustration_index", failing_solver)
-        with pytest.raises(ValueError, match="other failure"):
-            certify(g, "balance")
-
-    def test_triangle_distance_certificate(self):
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9))
-        pat = (Sign.PLUS, Sign.PLUS, Sign.MINUS)
-        cert = certify(g, "triangle-free", pattern=pat)
-        assert cert.edits == 3
-        none_pat = (Sign.MINUS, Sign.MINUS, Sign.MINUS)
-        assert certify(g, "triangle-free", pattern=none_pat).edits == 0
-
-    def test_certify_matches_brute_force_randomized(self):
-        rng = np.random.default_rng(3)
-        from conftest import random_signed_graph
-
-        for _ in range(25):
-            g = random_signed_graph(rng, int(rng.integers(4, 11)), p_edge=0.5)
-            cert = certify(g, "balance")
-            assert cert.edits == exact.frustration_index(g)
-
-    def test_bad_arguments(self):
-        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 9))
-        with pytest.raises(ValueError, match="model"):
-            certify(g, "balance", model="sparse")
-        unbounded, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 8, k=2))
-        with pytest.raises(ValueError, match="degree bound"):
-            certify(unbounded, "balance", model="bounded")
-        with pytest.raises(ValueError, match="unknown property"):
-            certify(g, "frustration")
-        with pytest.raises(ValueError, match="pattern"):
-            certify(g, "triangle-free")
-
-    def test_every_family_name_exported(self):
-        assert len(FAMILIES) == 5

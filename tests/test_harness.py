@@ -9,6 +9,7 @@ import json
 import pytest
 from scipy.stats import binomtest, norm
 
+import signedtest
 from signedtest import cli
 from signedtest.core import Sign, Witness, WitnessKind, save_edge_list
 from signedtest.generators import (
@@ -21,7 +22,6 @@ from signedtest.generators import (
 from signedtest.harness import (
     OVERRIDES,
     ExperimentConfig,
-    parse_pattern,
     run_experiment,
     run_scaling,
     strip_wall_times,
@@ -34,6 +34,10 @@ from signedtest.harness import (
 # cheap walk budgets so walk-path runs stay fast in unit tests
 CHEAP_WALKS = dict(allow_exact_fallback=False, c1=1.0, c2=0.02, c3=0.05,
                    walk_len_log_exponent=0)
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(signedtest, name) for name in signedtest.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,8 @@ class TestConfig:
         {"node_samples": 0},
         {"property": "triangle", "pattern": "+-"},
         {"property": "triangle", "pattern": "+*-"},
+        {"c1": float("inf")},
+        {"c_b": float("nan")},
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -115,11 +121,6 @@ class TestConfig:
         assert consts.c2 == 0.5
         assert consts.allow_exact_fallback is False
         assert consts.c1 == 8.0  # untouched default
-
-    def test_parse_pattern(self):
-        assert parse_pattern("++-") == (Sign.PLUS, Sign.PLUS, Sign.MINUS)
-        with pytest.raises(ValueError):
-            parse_pattern("++")
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +286,40 @@ class TestCli:
         cli.main(["gen", "--family", "disjoint-bad-triangles", "--n", "12",
                   "--out", str(out)])
         capsys.readouterr()
-        rc = cli.main(["exact", "--in", str(out), "--check", "clusterability"])
-        assert rc == 0
-        res = json.loads(capsys.readouterr().out)
-        assert res["clusterable"] is False
-        assert res["witness"]["kind"] == "bad-cycle"
+        # every check on four vertex-disjoint (+,+,-) triangles
+        expected = [
+            (["balance"], {"balanced": False}, "odd-negative-cycle"),
+            (["clusterability"], {"clusterable": False}, "bad-cycle"),
+            (["triangle", "--pattern", "++-"], {"found": True}, "signed-triangle"),
+            (["frustration"], {"frustration_index": 4}, None),
+            (["weak-frustration"], {"weak_frustration_index": 4}, None),
+            (["k-frustration", "--k", "2"], {"k_frustration_index": 4}, None),
+            (["triangle-distance"], {"triangle_free_distance": 4}, None),
+        ]
+        for check, fields, witness_kind in expected:
+            rc = cli.main(["exact", "--in", str(out), "--check", *check])
+            assert rc == 0, check
+            res = json.loads(capsys.readouterr().out)
+            assert {k: res[k] for k in fields} == fields, check
+            if witness_kind is not None:
+                assert res["witness"]["kind"] == witness_kind, check
         rc = cli.main(["exact", "--in", str(out), "--check", "weak-frustration",
                        "--out", str(tmp_path / "w.json")])
         assert rc == 0
         assert json.loads((tmp_path / "w.json").read_text())["weak_frustration_index"] == 4
+
+    @pytest.mark.parametrize("n,check,message", [
+        (12, ["k-frustration"], "k-frustration needs --k"),
+        (30, ["frustration"], "frustration_index caps at n=24, got 30"),
+    ])
+    def test_exact_subcommand_errors(self, tmp_path, capsys, n, check, message):
+        out = tmp_path / "g.sgl"
+        cli.main(["gen", "--family", "disjoint-bad-triangles", "--n", str(n),
+                  "--out", str(out)])
+        capsys.readouterr()
+        rc = cli.main(["exact", "--in", str(out), "--check", *check])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_test_subcommand_report(self, tmp_path):
         rep_path = tmp_path / "r.json"
@@ -369,6 +395,33 @@ class TestCli:
             actions = [a for a in subparsers.choices[command]._actions if a.dest in OVERRIDES]
             assert sorted(a.dest for a in actions) == sorted(OVERRIDES)
             assert all(len(a.option_strings) == 1 for a in actions)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--model", "bounded", "--property", "balance", "--c1", "inf"],
+         "override c1 must be finite, got inf"),
+        (["--model", "bounded", "--property", "balance", "--c1", "nan"],
+         "override c1 must be finite, got nan"),
+        (["--model", "dense", "--property", "balance", "--c-b", "inf"],
+         "override c_b must be finite, got inf"),
+        (["--model", "dense", "--property", "triangle", "--pattern", "+*-"],
+         "bad sign token '*', expected '+' or '-'"),
+        # finite values whose budgets overflow or underflow
+        (["--model", "bounded", "--property", "balance", "--c2", "1e308"], ""),
+        (["--model", "bounded", "--property", "balance", "--eps", "1e-300"], ""),
+        (["--model", "bounded", "--property", "clusterability", "--eps", "1e-300"], ""),
+        (["--model", "dense", "--property", "triangle", "--eps", "1e-300"], ""),
+        (["--model", "dense", "--property", "clusterability", "--eps", "1e-300"], ""),
+    ], ids=["c1-inf", "c1-nan", "c_b-inf", "pattern", "c2-1e308", "bounded-balance-eps",
+            "bounded-clusterability-eps", "dense-triangle-eps", "dense-clusterability-eps"])
+    def test_bad_numbers_are_a_one_line_error(self, tmp_path, capsys, args, message):
+        if "--eps" not in args:
+            args = [*args, "--eps", "0.5"]
+        rc = cli.main(["test", "--family", "balanced-two-side", "--n", "10", "--d", "4",
+                       "--trials", "1", *args, "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_bench_rejects_short_n_list(self, tmp_path, capsys):
         rc = cli.main(["bench", "--model", "bounded", "--property", "balance",

@@ -45,12 +45,6 @@ class TestDenseOracle:
             o.query(u, v)
         assert o.query_count == 0
 
-    def test_reset_count(self):
-        o = DenseOracle(triangle(Sign.PLUS, Sign.PLUS, Sign.MINUS))
-        o.query(0, 1)
-        o.reset_count()
-        assert o.query_count == 0
-
     def test_fuzz_against_adjacency(self):
         rng = np.random.default_rng(7)
         g = random_signed_graph(rng, 30, p_edge=0.2)
