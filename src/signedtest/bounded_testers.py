@@ -88,7 +88,7 @@ def _lazy_step(o: BoundedDegreeOracle, v: int, slot: int, restrict_to_positive: 
     if res is None:
         return v
     u, sign = res
-    if restrict_to_positive and sign is Sign.MINUS:
+    if restrict_to_positive and sign:  # sign 1 is minus
         return v
     return u
 
@@ -107,7 +107,7 @@ def _gprime_step(o: BoundedDegreeOracle, x: GPrimeNode, slot: int, coin: float) 
         if res is None:
             return x
         v, sign = res
-        if sign is Sign.MINUS:
+        if sign:  # minus
             return original(v)
         return subdivision(x.u, v)
     if coin * o.d < 2.0:
@@ -134,7 +134,7 @@ def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
     if res is None:
         return None
     v, sign = res
-    forward_plus = sign is Sign.PLUS and u < v
+    forward_plus = not sign and u < v  # sign 0 is plus
     if forward_plus and rng.random() < 0.25:
         return subdivision(u, v)
     deg = sum(1 for _ in o.neighbors(u))
@@ -173,7 +173,7 @@ def _contract_to_g_cycle(cyc: list[GPrimeNode]) -> Witness:
     if not cyc[0].is_original:
         cyc = cyc[1:] + cyc[:1]
     nodes: list[int] = []
-    signs: list[Sign] = []
+    signs: list[int] = []
     k = len(cyc)
     i = 0
     while i < k:
@@ -389,7 +389,7 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
             x = v
     for u in sorted(parent):
         for v, sign in o.neighbors(u):
-            if sign is Sign.MINUS and v in parent:
+            if sign and v in parent:  # a negative edge inside the visited set
                 # nodes = u -> lca -> v through positive tree edges; the
                 # closing (v, u) edge is the single negative one
                 nodes = _splice_tree_paths(parent, u, v)

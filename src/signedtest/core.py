@@ -14,9 +14,16 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
+import numpy as np
+
 
 class Sign(IntEnum):
-    """Edge sign. PLUS sorts before MINUS; serialized as '+' / '-'."""
+    """Edge sign. PLUS sorts before MINUS; serialized as '+' / '-'.
+
+    Graphs and oracles carry a sign as the plain int a member names, never as
+    the member: members are GC-tracked, and so is every tuple holding one, so
+    each full collection would rescan every edge. Minus is the truthy one.
+    """
 
     PLUS = 0
     MINUS = 1
@@ -38,9 +45,16 @@ class GraphFormatError(ValueError):
     """Raised for malformed edge-list input or invalid graph construction."""
 
 
+# Sign values from_edges accepts, and the int each stores. The type check
+# keeps out True and 1.0, which hash and compare equal to 1.
+_SIGN_VALUES = {"+": 0, "-": 1, 0: 0, 1: 1}
+_SIGN_TYPES = frozenset((str, int, Sign))
+
+
 @dataclass(frozen=True)
 class SignedGraph:
-    """Immutable signed graph: ``adj[v]`` lists ``(neighbor, sign)`` pairs.
+    """Immutable signed graph: ``adj[v]`` lists ``(neighbor, sign)`` pairs,
+    each sign the plain int 0 (plus) or 1 (minus); see Sign.
 
     Neighbor order inside each adjacency list is edge insertion order; the
     bounded-degree oracle exposes exactly this order, so it is part of the
@@ -48,21 +62,21 @@ class SignedGraph:
     """
 
     n: int
-    adj: tuple[tuple[tuple[int, Sign], ...], ...]
+    adj: tuple[tuple[tuple[int, int], ...], ...]
     degree_bound: int | None = None
 
     @classmethod
     def from_edges(
         cls,
         n: int,
-        edges: Iterable[tuple[int, int, Sign | str]],
+        edges: Iterable[tuple[int, int, Sign | int | str]],
         degree_bound: int | None = None,
     ) -> "SignedGraph":
         if n < 1:
             raise GraphFormatError("graph needs at least one node")
         if degree_bound is not None and degree_bound < 1:
             raise GraphFormatError("degree bound must be >= 1")
-        lists: list[list[tuple[int, Sign]]] = [[] for _ in range(n)]
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for u, v, s in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -73,7 +87,11 @@ class SignedGraph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})")
             seen.add(key)
-            sign = Sign.from_token(s) if isinstance(s, str) else Sign(s)
+            ok = type(s) in _SIGN_TYPES or isinstance(s, np.integer)
+            sign = _SIGN_VALUES.get(s) if ok else None
+            if sign is None:
+                raise GraphFormatError(
+                    f"edge ({u},{v}) has sign {s!r}, expected '+', '-', 0 or 1")
             lists[u].append((v, sign))
             lists[v].append((u, sign))
         if degree_bound is not None:
@@ -85,17 +103,17 @@ class SignedGraph:
         return cls(n, tuple(tuple(l) for l in lists), degree_bound)
 
     @cached_property
-    def _sign_map(self) -> dict[tuple[int, int], Sign]:
+    def _sign_map(self) -> dict[tuple[int, int], int]:
         return {(u, v): s for u in range(self.n) for v, s in self.adj[u]}
 
-    def sign_of(self, u: int, v: int) -> Sign | None:
+    def sign_of(self, u: int, v: int) -> int | None:
         """Sign of edge (u,v), or None if absent."""
         return self._sign_map.get((u, v))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def edges(self) -> Iterator[tuple[int, int, Sign]]:
+    def edges(self) -> Iterator[tuple[int, int, int]]:
         """Each edge once, as (u, v, sign) with u < v, sorted."""
         out = [(u, v, s) for u in range(self.n) for v, s in self.adj[u] if u < v]
         out.sort(key=lambda e: (e[0], e[1]))
@@ -107,7 +125,7 @@ class SignedGraph:
 
     @cached_property
     def num_positive_edges(self) -> int:
-        return sum(1 for _, _, s in self.edges() if s is Sign.PLUS)
+        return sum(1 for _, _, s in self.edges() if s == Sign.PLUS)
 
     def max_degree(self) -> int:
         return max((len(l) for l in self.adj), default=0)
@@ -129,12 +147,12 @@ def validate(g: SignedGraph) -> str | None:
             if v in seen:
                 return f"parallel edge ({u},{v})"
             seen.add(v)
-            if not isinstance(s, Sign):
+            if type(s) not in (int, Sign) or s not in (0, 1):
                 return f"edge ({u},{v}) has non-sign label {s!r}"
             back = [t for w, t in g.adj[v] if w == u]
             if not back:
                 return f"asymmetric edge ({u},{v})"
-            if back[0] is not s:
+            if back[0] != s:
                 return f"edge ({u},{v}) sign mismatch across directions"
     if g.degree_bound is not None:
         if g.degree_bound < 1:
@@ -186,7 +204,7 @@ def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
     if m < 0:
         raise GraphFormatError(f"line {lineno}: m must be >= 0")
 
-    edges: list[tuple[int, int, Sign]] = []
+    edges: list[tuple[int, int, int]] = []
     for lineno, line in lines:
         if len(edges) == m:
             raise GraphFormatError(f"line {lineno}: more than the declared {m} edges")
@@ -200,7 +218,7 @@ def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
         if not 0 <= u < v < n:
             raise GraphFormatError(f"line {lineno}: endpoints must satisfy 0 <= u < v < n")
         try:
-            s = Sign.from_token(fields[2])
+            s = int(Sign.from_token(fields[2]))
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
         edges.append((u, v, s))
@@ -224,7 +242,7 @@ def save_edge_list(g: SignedGraph, dest: str | Path | TextIO) -> None:
 def _write(g: SignedGraph, fh: TextIO) -> None:
     fh.write(f"{g.n} {g.num_edges}\n")
     for u, v, s in g.edges():
-        fh.write(f"{u} {v} {s.token}\n")
+        fh.write(f"{u} {v} {'+-'[s]}\n")
 
 
 def dumps_edge_list(g: SignedGraph) -> str:
@@ -280,7 +298,7 @@ def zaslavsky_transform(g: SignedGraph) -> tuple[UnsignedGraph, tuple[GPrimeNode
     The result is bipartite exactly when g is balanced, and its minimum
     edge-deletion distance to bipartiteness equals g's frustration index.
     """
-    pos_edges = [(u, v) for u, v, s in g.edges() if s is Sign.PLUS]
+    pos_edges = [(u, v) for u, v, s in g.edges() if s == Sign.PLUS]
     prov = [original(u) for u in range(g.n)] + [subdivision(u, v) for u, v in pos_edges]
     lists: list[list[int]] = [[] for _ in range(len(prov))]
     for idx, (u, v) in enumerate(pos_edges):
@@ -290,7 +308,7 @@ def zaslavsky_transform(g: SignedGraph) -> tuple[UnsignedGraph, tuple[GPrimeNode
         lists[v].append(w)
         lists[w].append(v)
     for u, v, s in g.edges():
-        if s is Sign.MINUS:
+        if s == Sign.MINUS:
             lists[u].append(v)
             lists[v].append(u)
     bound = None if g.degree_bound is None else max(g.degree_bound, 2)
@@ -319,13 +337,13 @@ class Witness:
 
     kind: WitnessKind
     nodes: tuple[int, ...]
-    signs: tuple[Sign, ...]
+    signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.signs):
             raise ValueError("witness needs one sign per cycle edge, closing edge included")
 
-    def edge_pairs(self) -> Iterator[tuple[int, int, Sign]]:
+    def edge_pairs(self) -> Iterator[tuple[int, int, int]]:
         k = len(self.nodes)
         for i in range(k):
             yield self.nodes[i], self.nodes[(i + 1) % k], self.signs[i]

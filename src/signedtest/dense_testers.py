@@ -31,6 +31,8 @@ C_CLUSTER = 6.0     # subset size    = ceil(C_CLUSTER * k * ln(k) / eps^2)
 # larger ones use the local-search overestimate.
 _EXACT_INDUCED_CAP = 10
 
+_TRIPLE_CHUNK = 4096  # rows per draw in _triples
+
 LOCAL_SEARCH_RESTARTS = 10
 LOCAL_SEARCH_MOVE_FACTOR = 200
 
@@ -71,6 +73,13 @@ def default_subset_size(eps: float, c_c: float = C_CLUSTER) -> int:
 # triangle tester
 # ---------------------------------------------------------------------------
 
+def _triples(rng, n: int, samples: int):
+    """The rows of rng.integers(0, n, size=(samples, 3)) as Python ints, drawn
+    in chunks so memory stays bounded: the chunks concatenate to that draw."""
+    for lo in range(0, samples, _TRIPLE_CHUNK):
+        yield from rng.integers(0, n, size=(min(_TRIPLE_CHUNK, samples - lo), 3)).tolist()
+
+
 def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams, c_t: float = C_TRIANGLE) -> Verdict:
     """Sample uniform node triples and reject on the first one inducing a
     triangle whose sign multiset matches the pattern."""
@@ -80,9 +89,7 @@ def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams, c_t: float = C_
     rng = _as_rng(p.seed)
     samples = p.triple_samples if p.triple_samples is not None else default_triple_samples(p.eps, c_t)
     start = o.query_count
-    triples = rng.integers(0, o.n, size=(samples, 3))
-    for a, b, c in triples:
-        a, b, c = int(a), int(b), int(c)
+    for a, b, c in _triples(rng, o.n, samples):
         if a == b or b == c or a == c:
             continue  # degenerate triple, nothing to query
         s_ab = o.query(a, b)
@@ -199,7 +206,7 @@ def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
         for u, s in g.adj[v]:
             before = assign[u] == assign[v]
             after = assign[u] == target
-            if s is Sign.PLUS:
+            if s == Sign.PLUS:
                 d += (not after) - (not before)
             else:
                 d += after - before

@@ -46,17 +46,17 @@ class BalanceResult:
 
 
 def _splice_cycle(
-    parent: list[tuple[int, Sign] | None],
+    parent: list[tuple[int, int] | None],
     depth: list[int],
     u: int,
     v: int,
-    closing: Sign,
+    closing: int,
     kind: WitnessKind,
 ) -> Witness:
     """Close the non-tree edge (u, v) through the BFS-tree paths to their
     lowest common ancestor, producing a simple cycle witness."""
-    path_u: list[tuple[int, Sign | None]] = [(u, None)]
-    path_v: list[tuple[int, Sign | None]] = [(v, None)]
+    path_u: list[tuple[int, int | None]] = [(u, None)]
+    path_v: list[tuple[int, int | None]] = [(v, None)]
     a, b = u, v
     while depth[a] > depth[b]:
         p, s = parent[a]  # type: ignore[misc]
@@ -89,7 +89,7 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
     """
     label = [-1] * g.n
     depth = [0] * g.n
-    parent: list[tuple[int, Sign] | None] = [None] * g.n
+    parent: list[tuple[int, int] | None] = [None] * g.n
     for root in range(g.n):
         if label[root] != -1:
             continue
@@ -98,7 +98,7 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
         while queue:
             u = queue.popleft()
             for v, s in g.adj[u]:
-                want = label[u] ^ (1 if s is Sign.MINUS else 0)
+                want = label[u] ^ s  # minus (1) flips the label
                 if label[v] == -1:
                     label[v] = want
                     parent[v] = (u, s)
@@ -127,7 +127,7 @@ def _positive_bfs(g: SignedGraph):
     discovery order; component count; tree parent; tree depth)."""
     comp = [-1] * g.n
     depth = [0] * g.n
-    parent: list[tuple[int, Sign] | None] = [None] * g.n
+    parent: list[tuple[int, int] | None] = [None] * g.n
     cid = 0
     for root in range(g.n):
         if comp[root] != -1:
@@ -137,7 +137,7 @@ def _positive_bfs(g: SignedGraph):
         while queue:
             u = queue.popleft()
             for v, s in g.adj[u]:
-                if s is Sign.PLUS and comp[v] == -1:
+                if s == Sign.PLUS and comp[v] == -1:
                     comp[v] = cid
                     parent[v] = (u, s)
                     depth[v] = depth[u] + 1
@@ -158,7 +158,7 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
     negative edge through the positive BFS tree."""
     comp, k, parent, depth = _positive_bfs(g)
     for u, v, s in g.edges():
-        if s is Sign.MINUS and comp[u] == comp[v]:
+        if s == Sign.MINUS and comp[u] == comp[v]:
             w = _splice_cycle(parent, depth, u, v, s, WitnessKind.BAD_CYCLE)
             return ClusterabilityResult(False, None, w)
     return ClusterabilityResult(True, Clustering(tuple(comp), k), None)
@@ -171,7 +171,7 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
 
 def _pattern_triangles(
     g: SignedGraph, pattern: Sequence[Sign | str] | str
-) -> Iterator[tuple[tuple[int, int, int], tuple[Sign, Sign, Sign]]]:
+) -> Iterator[tuple[tuple[int, int, int], tuple[int, int, int]]]:
     """Every triangle u < v < w whose sign multiset equals the pattern, in
     lexicographic node order, as ((u, v, w), (s_uv, s_vw, s_uw))."""
     want = triangle_pattern(pattern)
@@ -213,7 +213,7 @@ def frustration_index(g: SignedGraph) -> int:
     viol = np.zeros(masks.shape, dtype=np.int32)
     for u, v, s in edges:
         cross = ((masks >> u) & 1) != ((masks >> v) & 1)
-        viol += cross if s is Sign.PLUS else ~cross
+        viol += cross if s == Sign.PLUS else ~cross
     return int(viol.min())
 
 
@@ -221,7 +221,7 @@ def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     """Edges a cluster labeling violates: positive across or negative inside."""
     bad = 0
     for u, v, s in g.edges():
-        if s is Sign.PLUS:
+        if s == Sign.PLUS:
             bad += labels[u] != labels[v]
         else:
             bad += labels[u] == labels[v]
@@ -256,7 +256,7 @@ def k_frustration_index(g: SignedGraph, k: int) -> int:
         for c in range(min(used + 1, k)):
             dv = 0
             for j, s in prev[i]:
-                if s is Sign.PLUS:
+                if s == Sign.PLUS:
                     dv += assign[j] != c
                 else:
                     dv += assign[j] == c
@@ -365,9 +365,9 @@ def verify_witness(g: SignedGraph, w: Witness) -> str | None:
         actual = next((t for x, t in g.adj[u] if x == v), None)
         if actual is None:
             return f"missing edge ({u},{v})"
-        if actual is not s:
+        if actual != s:
             return f"sign mismatch on edge ({u},{v})"
-    negatives = sum(1 for s in w.signs if s is Sign.MINUS)
+    negatives = sum(1 for s in w.signs if s == Sign.MINUS)
     if w.kind is WitnessKind.BAD_CYCLE and negatives != 1:
         return f"bad cycle needs exactly one negative edge, found {negatives}"
     if w.kind is WitnessKind.ODD_NEGATIVE_CYCLE and negatives % 2 == 0:

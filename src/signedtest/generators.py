@@ -15,6 +15,8 @@ import numpy as np
 
 from .core import Sign, SignedGraph
 
+_PLUS, _MINUS = int(Sign.PLUS), int(Sign.MINUS)  # edge lists hold plain ints, see Sign
+
 CLUSTERABLE_COMMUNITIES = "clusterable-communities"
 BALANCED_TWO_SIDE = "balanced-two-side"
 ALL_NEGATIVE_REGULAR = "all-negative-regular"
@@ -99,19 +101,19 @@ def _group_split(n: int, k: int) -> list[list[int]]:
     return groups
 
 
-def _complete_groups(groups: list[list[int]]) -> list[tuple[int, int, Sign]]:
+def _complete_groups(groups: list[list[int]]) -> list[tuple[int, int, int]]:
     """Complete graph over consecutive groups: positive inside each group,
     negative across. Each sign's edges come in (u, v) order."""
     edges = []
     for grp in groups:
         for i, u in enumerate(grp):
             for v in grp[i + 1:]:
-                edges.append((u, v, Sign.PLUS))
+                edges.append((u, v, _PLUS))
     for a, grp in enumerate(groups):
         for u in grp:
             for later in groups[a + 1:]:
                 for v in later:
-                    edges.append((u, v, Sign.MINUS))
+                    edges.append((u, v, _MINUS))
     return edges
 
 
@@ -122,9 +124,9 @@ def _build_communities(rng, n, d, k, used, edges):
     groups = _group_split(n, k)
     degree = {v: 0 for v in range(n)}
     for g in groups:
-        _add_ring(rng, g, used, edges, Sign.PLUS, degree)
+        _add_ring(rng, g, used, edges, _PLUS, degree)
         for _ in range(max(0, (d - 2) - 2)):
-            _add_matching(rng, g, used, edges, Sign.PLUS, degree, d - 2)
+            _add_matching(rng, g, used, edges, _PLUS, degree, d - 2)
     # negative matching across groups
     gid = {}
     for i, g in enumerate(groups):
@@ -135,7 +137,7 @@ def _build_communities(rng, n, d, k, used, edges):
     i = 0
     while i + 1 < len(free):
         u, v = free[i], free[i + 1]
-        if gid[u] != gid[v] and _add_edge(u, v, used, edges, Sign.MINUS, degree):
+        if gid[u] != gid[v] and _add_edge(u, v, used, edges, _MINUS, degree):
             i += 2
         else:
             i += 1
@@ -173,7 +175,7 @@ def _gen_bad_triangles(spec: GenSpec):
     edges = []
     for i in range(t):
         a = 3 * i
-        edges += [(a, a + 1, Sign.PLUS), (a + 1, a + 2, Sign.PLUS), (a, a + 2, Sign.MINUS)]
+        edges += [(a, a + 1, _PLUS), (a + 1, a + 2, _PLUS), (a, a + 2, _MINUS)]
     g = SignedGraph.from_edges(spec.n, edges, degree_bound=d)
     extra = {
         "properties": {"balanced": t == 0, "clusterable": t == 0},
@@ -196,13 +198,13 @@ def _gen_all_negative(spec: GenSpec, rng):
     if spec.n * d % 2:
         raise ValueError("all-negative-regular needs n*d even")
     used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, Sign]] = []
+    edges: list[tuple[int, int, int]] = []
     degree = {v: 0 for v in range(spec.n)}
     members = list(range(spec.n))
     for _ in range(d // 2):
-        _add_ring(rng, members, used, edges, Sign.MINUS, degree)
+        _add_ring(rng, members, used, edges, _MINUS, degree)
     if d % 2:
-        _add_matching(rng, members, used, edges, Sign.MINUS, degree, d)
+        _add_matching(rng, members, used, edges, _MINUS, degree, d)
     g = SignedGraph.from_edges(spec.n, edges, degree_bound=d)
     m = g.num_edges
     extra = {"properties": {"balanced": False if d >= 3 else None, "clusterable": True}}
@@ -229,17 +231,17 @@ def _gen_balanced_two_side(spec: GenSpec, rng):
         if spec.d < 3:
             raise ValueError("balanced-two-side needs d >= 3 (or d=None for the dense form)")
         used: set[tuple[int, int]] = set()
-        edges: list[tuple[int, int, Sign]] = []
+        edges: list[tuple[int, int, int]] = []
         degree = {v: 0 for v in range(spec.n)}
         for side in (left, right):
-            _add_ring(rng, side, used, edges, Sign.PLUS, degree)
+            _add_ring(rng, side, used, edges, _PLUS, degree)
             for _ in range(max(0, (spec.d - 1) - 2)):
-                _add_matching(rng, side, used, edges, Sign.PLUS, degree, spec.d - 1)
+                _add_matching(rng, side, used, edges, _PLUS, degree, spec.d - 1)
         # one negative perfect matching across the sides
         perm = rng.permutation(half)
         for i, u in enumerate(left):
             v = right[perm[i]]
-            edges.append((u, v, Sign.MINUS))
+            edges.append((u, v, _MINUS))
         g = SignedGraph.from_edges(spec.n, edges, degree_bound=spec.d)
     extra = {
         "properties": {"balanced": True, "clusterable": True},
@@ -267,7 +269,7 @@ def _gen_communities(spec: GenSpec, rng):
             raise ValueError("clusterable-communities needs d >= 4 (or d=None for the dense form)")
         if spec.n // k < 3:
             raise ValueError("clusterable-communities needs groups of size >= 3")
-        edges: list[tuple[int, int, Sign]] = []
+        edges: list[tuple[int, int, int]] = []
         groups_out, _ = _build_communities(rng, spec.n, spec.d, k, set(), edges)
         g = SignedGraph.from_edges(spec.n, edges, degree_bound=spec.d)
     extra = {
@@ -298,7 +300,7 @@ def _gen_planted_matching(spec: GenSpec, rng):
     if target < 1:
         raise ValueError("planted_fraction too small: no edges to plant")
     used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, Sign]] = []
+    edges: list[tuple[int, int, int]] = []
     groups, degree = _build_communities(rng, spec.n, d, k, used, edges)
     planted = 0
     planted_nodes: set[int] = set()
@@ -310,7 +312,7 @@ def _gen_planted_matching(spec: GenSpec, rng):
         u, v = grp[u], grp[v]
         if u in planted_nodes or v in planted_nodes or degree[u] >= d or degree[v] >= d:
             continue
-        if not _add_edge(u, v, used, edges, Sign.MINUS, degree):
+        if not _add_edge(u, v, used, edges, _MINUS, degree):
             continue
         planted_nodes.update((u, v))
         planted += 1

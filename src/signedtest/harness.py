@@ -49,7 +49,7 @@ def witness_to_json(w: Witness) -> dict:
     return {
         "kind": _KIND_TOKENS[w.kind],
         "nodes": [int(v) for v in w.nodes],
-        "signs": [s.token for s in w.signs],
+        "signs": ["+-"[s] for s in w.signs],
     }
 
 

@@ -17,11 +17,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Sign, SignedGraph, Witness
+from .core import SignedGraph, Witness
 
 
 class DenseOracle:
-    """Adjacency-matrix access: query(u, v) -> Sign or None (absent).
+    """Adjacency-matrix access: query(u, v) -> sign (0 or 1) or None (absent).
 
     Diagonal queries are a caller bug and raise; they are never charged.
     """
@@ -31,7 +31,7 @@ class DenseOracle:
         self.query_count = 0
         self._signs = graph._sign_map  # shared immutable lookup
 
-    def query(self, u: int, v: int) -> Sign | None:
+    def query(self, u: int, v: int) -> int | None:
         if u == v:
             raise ValueError(f"diagonal query ({u},{u})")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -75,7 +75,7 @@ class BoundedDegreeOracle:
         self.query_count = 0
         self._adj = graph.adj
 
-    def query(self, v: int, i: int) -> tuple[int, Sign] | None:
+    def query(self, v: int, i: int) -> tuple[int, int] | None:
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} out of range for n={self.n}")
         if not 1 <= i <= self.d:
@@ -86,7 +86,7 @@ class BoundedDegreeOracle:
             return row[i - 1]
         return None
 
-    def neighbors(self, v: int) -> Iterator[tuple[int, Sign]]:
+    def neighbors(self, v: int) -> Iterator[tuple[int, int]]:
         """Read slots 1..d of v in order, yielding (neighbor, sign) up to the
         first empty slot. Each slot read costs one query as it is read, the
         empty one included, so a caller that stops early pays only for the

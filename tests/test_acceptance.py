@@ -438,7 +438,7 @@ def test_criterion_06_query_scaling_exponents():
 
 def _violations(g: SignedGraph, assignment) -> int:
     return sum(1 for u, v, s in g.edges()
-               if (s is Sign.PLUS) != (assignment[u] == assignment[v]))
+               if (s == Sign.PLUS) != (assignment[u] == assignment[v]))
 
 
 def _random_clusterable(rng, n: int) -> SignedGraph:

@@ -309,7 +309,7 @@ class TestBadCycleSearch:
         g = _ppm_triangle(d=2)
         w = bt.badcycle_search(_oracle(g), 0, 50, 5, np.random.default_rng(5))
         assert w is not None and w.kind is WitnessKind.BAD_CYCLE
-        assert sum(1 for s in w.signs if s is Sign.MINUS) == 1
+        assert sum(1 for s in w.signs if s == Sign.MINUS) == 1
 
 
 class TestReadWholeGraph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 
@@ -23,7 +24,18 @@ from signedtest.core import (
     validate,
     zaslavsky_transform,
 )
+from signedtest.bounded_testers import read_whole_graph
 from signedtest.exact import is_balanced
+from signedtest.generators import (
+    ALL_NEGATIVE_REGULAR,
+    BALANCED_TWO_SIDE,
+    CLUSTERABLE_COMMUNITIES,
+    DISJOINT_BAD_TRIANGLES,
+    PLANTED_NEGATIVE_MATCHING,
+    GenSpec,
+    generate,
+)
+from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
 from conftest import all_signed_graphs, make_graph, random_signed_graph, triangle
 
@@ -80,7 +92,7 @@ class TestSignedGraphConstruction:
     def test_adjacency_is_symmetric_with_load_order(self):
         g = make_graph(4, [(2, 0, "+"), (0, 1, "-"), (1, 3, "+")])
         assert g.adj[0] == ((2, Sign.PLUS), (1, Sign.MINUS))
-        assert g.sign_of(1, 0) is Sign.MINUS
+        assert g.sign_of(1, 0) == Sign.MINUS
         assert g.sign_of(0, 3) is None
         assert g.num_edges == 3
 
@@ -104,10 +116,36 @@ class TestSignedGraphConstruction:
         g = make_graph(1, [])
         assert g.n == 1 and g.num_edges == 0
 
+    @pytest.mark.parametrize(
+        "sign, stored",
+        [
+            ("+", 0), ("-", 1), (0, 0), (1, 1), (Sign.PLUS, 0), (Sign.MINUS, 1),
+            (np.int64(1), 1), (np.uint8(0), 0),
+            (True, None), (False, None), (1.0, None), (0.0, None), (np.float64(1.0), None),
+            (np.bool_(True), None), (2, None), (-1, None), (None, None), ("x", None),
+            ("+-", None), ("0", None),
+        ],
+    )
+    def test_sign_values(self, sign, stored):
+        # exactly '+', '-', 0 and 1 (ints of any kind but bool); stored as int
+        if stored is None:
+            with pytest.raises(GraphFormatError, match=r"edge \(2,1\) has sign"):
+                make_graph(3, [(0, 1, "+"), (2, 1, sign)])
+        else:
+            g = make_graph(3, [(0, 1, "+"), (2, 1, sign)])
+            assert g.adj[2] == ((1, stored),)
+            assert type(g.adj[2][0][1]) is int
+
 
 class TestValidate:
     def test_ok_graph(self):
         assert validate(triangle("+", "+", "-")) is None
+
+    def test_stored_ints_and_sign_members_are_labels(self):
+        assert validate(SignedGraph(2, (((1, 1),), ((0, Sign.MINUS),)))) is None
+        for label in (True, 1.0, "-", 2):
+            g = SignedGraph(2, (((1, label),), ((0, label),)))
+            assert "non-sign label" in validate(g)
 
     def test_asymmetric_edge_detected(self):
         g = SignedGraph(2, (((1, Sign.PLUS),), ()))
@@ -138,7 +176,7 @@ class TestEdgeListFormat:
     def test_parse_sample(self):
         g = load_edge_list(io.StringIO(SAMPLE))
         assert g.n == 3 and g.num_edges == 3
-        assert g.sign_of(0, 2) is Sign.MINUS
+        assert g.sign_of(0, 2) == Sign.MINUS
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a file\n\n3 1   # header\n0 1 -\n\n# done\n"
@@ -269,6 +307,49 @@ class TestWitnessAndClustering:
     def test_clusters_listing(self):
         c = Clustering((0, 1, 0), 2)
         assert c.clusters() == [[0, 2], [1]]
+
+
+def _assert_adjacency_untracked(g: SignedGraph) -> None:
+    """After a full collection no (neighbor, sign) pair may be GC-tracked: a
+    tracked pair is rescanned by every later full collection."""
+    gc.collect()
+    tracked = [(v, pair) for v, row in enumerate(g.adj) for pair in row if gc.is_tracked(pair)]
+    assert not tracked, tracked[:3]
+    assert all(type(s) is int for row in g.adj for _, s in row)
+
+
+class TestAdjacencyNotTracked:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(CLUSTERABLE_COMMUNITIES, 24, seed=3, k=4),
+            GenSpec(CLUSTERABLE_COMMUNITIES, 40, seed=3, d=6, k=3),
+            GenSpec(BALANCED_TWO_SIDE, 16, seed=3),
+            GenSpec(BALANCED_TWO_SIDE, 30, seed=3, d=5),
+            GenSpec(ALL_NEGATIVE_REGULAR, 40, seed=3, d=3),
+            GenSpec(DISJOINT_BAD_TRIANGLES, 31, seed=3),
+            GenSpec(PLANTED_NEGATIVE_MATCHING, 48, seed=3, d=8, k=2, planted_fraction=0.03),
+        ],
+        ids=lambda s: f"{s.family}-d{s.d}",
+    )
+    def test_generated(self, spec):
+        g, _ = generate(spec)
+        _assert_adjacency_untracked(g)
+
+    def test_loaded_from_sgl(self, tmp_path):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 48, seed=5, d=8))
+        save_edge_list(g, tmp_path / "g.sgl")
+        _assert_adjacency_untracked(load_edge_list(tmp_path / "g.sgl", degree_bound=8))
+
+    def test_oracle_reads(self):
+        g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 30, seed=1, d=6, k=3))
+        whole = read_whole_graph(BoundedDegreeOracle(g))
+        assert list(whole.edges()) == list(g.edges())
+        _assert_adjacency_untracked(whole)
+        dense, _ = generate(GenSpec(BALANCED_TWO_SIDE, 20, seed=1))
+        o = DenseOracle(dense)
+        _assert_adjacency_untracked(o.induced([7, 3, 12, 0, 19, 4]))
+        assert type(o.query(0, 1)) is int and type(o.query(0, 19)) is int
 
 
 class TestFrustrationMatchesSubdividedBipartiteDistance:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,31 @@ class TestTriangleDense:
         assert v.queries_used == o.query_count
         assert v.queries_used < 3 * 500
 
+    @pytest.mark.parametrize("n", [3, 7, 1000, 2**40])
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 12289])
+    def test_chunked_triples_equal_one_draw(self, n, samples):
+        for seed in (0, 9):
+            one, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = one.integers(0, n, size=(samples, 3)).tolist()
+            got = list(dt._triples(chunked, n, samples))
+            assert got == want
+            assert chunked.random() == one.random()  # the stream continues alike
+
+    def test_triple_draws_use_bounded_memory(self):
+        # every distinct triple of the all-negative K20 rejects '---', so the
+        # test stops at the first; one up-front draw of 10^7 triples is 240 MB
+        g = make_graph(20, [(u, v, "-") for u, v in itertools.combinations(range(20), 2)])
+        o = DenseOracle(g)
+        tracemalloc.start()
+        try:
+            v = dt.test_triangle_dense(o, "---", dt.DenseParams(eps=0.5, seed=0,
+                                                                triple_samples=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not v.accept and v.queries_used == 3
+        assert peak < 16 * 2**20
+
     def test_needs_three_nodes(self):
         g = make_graph(2, [(0, 1, Sign.PLUS)])
         with pytest.raises(ValueError, match="N >= 3"):
@@ -116,7 +144,7 @@ class TestBalanceDense:
             if not v.accept:
                 rejects += 1
                 assert exact.verify_witness(g, v.witness) is None
-                assert sum(1 for s in v.witness.signs if s is Sign.MINUS) % 2 == 1
+                assert sum(1 for s in v.witness.signs if s == Sign.MINUS) % 2 == 1
         assert rejects >= 45
 
     def test_two_nodes_always_accept(self):

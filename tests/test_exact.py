@@ -43,7 +43,7 @@ def ref_frustration(g) -> int:
         bad = 0
         for u, v, s in edges:
             crossing = side[u] != side[v]
-            if (s is Sign.PLUS) == crossing:
+            if (s == Sign.PLUS) == crossing:
                 bad += 1
         best = min(best, bad)
     return best
@@ -56,7 +56,7 @@ def ref_k_frustration(g, k: int) -> int:
         lab = (0,) + tail
         bad = 0
         for u, v, s in edges:
-            if s is Sign.PLUS:
+            if s == Sign.PLUS:
                 bad += lab[u] != lab[v]
             else:
                 bad += lab[u] == lab[v]
@@ -71,7 +71,7 @@ def ref_weak_frustration(g) -> int:
 def violations(g, labels) -> int:
     bad = 0
     for u, v, s in g.edges():
-        if s is Sign.PLUS:
+        if s == Sign.PLUS:
             bad += labels[u] != labels[v]
         else:
             bad += labels[u] == labels[v]
@@ -89,7 +89,7 @@ class TestIsBalanced:
         # sides must satisfy every edge: positive inside, negative across
         for u, v, s in triangle("+", "-", "-").edges():
             same = r.sides[u] == r.sides[v]
-            assert same == (s is Sign.PLUS)
+            assert same == (s == Sign.PLUS)
 
     def test_single_negative_triangle_unbalanced_with_witness(self):
         g = triangle("+", "+", "-")
@@ -109,7 +109,7 @@ class TestIsBalanced:
                 assert verify_witness(g, r.witness) is None
             else:
                 for u, v, s in g.edges():
-                    assert (r.sides[u] == r.sides[v]) == (s is Sign.PLUS)
+                    assert (r.sides[u] == r.sides[v]) == (s == Sign.PLUS)
         assert found > 100
 
     def test_matches_zero_frustration_exhaustively_small(self):
@@ -129,7 +129,7 @@ class TestIsClusterable:
         r = is_clusterable(g)
         assert not r.clusterable
         assert r.witness.kind is WitnessKind.BAD_CYCLE
-        assert sum(1 for s in r.witness.signs if s is Sign.MINUS) == 1
+        assert sum(1 for s in r.witness.signs if s == Sign.MINUS) == 1
         assert verify_witness(g, r.witness) is None
 
     def test_clustering_output_is_positive_components(self):
@@ -319,7 +319,7 @@ class TestMergeSmallClusters:
                 # removing intra-cluster edges leaves only negative cross edges
                 for u, v, s in g.edges():
                     if lab[u] != lab[v]:
-                        assert s is Sign.MINUS
+                        assert s == Sign.MINUS
         assert checked > 60
 
     def test_eps_must_be_positive(self):

@@ -14,8 +14,8 @@ from conftest import make_graph, random_signed_graph, triangle
 class TestDenseOracle:
     def test_returns_signs_and_none(self):
         o = DenseOracle(make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.MINUS)]))
-        assert o.query(0, 1) is Sign.PLUS
-        assert o.query(2, 1) is Sign.MINUS
+        assert o.query(0, 1) == Sign.PLUS
+        assert o.query(2, 1) == Sign.MINUS
         assert o.query(0, 2) is None
 
     def test_symmetric(self):
