@@ -34,14 +34,14 @@ from .core import (
     original,
     subdivision,
 )
-from .oracles import BoundedDegreeOracle, Verdict, _as_rng
+from .oracles import BoundedDegreeOracle, Verdict, _as_rng, _chunked_integers
 
 C_TRIANGLE_BD = 10.0
 
 
 @dataclass(frozen=True)
 class BoundedConstants:
-    """Hidden-constant knobs for the walk-based testers.
+    """Hidden-constant knobs for the bounded-degree testers.
 
     The asymptotic recipes leave the multipliers and the polylog/poly-eps
     exponents open; these defaults are sized for desk-scale runs and are all
@@ -57,9 +57,10 @@ class BoundedConstants:
     walk_len_log_exponent: int = 1      # a above (0 makes L N-independent)
     balance_len_eps_exponent: int = 3   # b above (theory says up to 8)
     allow_exact_fallback: bool = True
+    c_t: float = C_TRIANGLE_BD  # triangle: sampled nodes ~ c_t/eps
 
     def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
+        for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c_t"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -224,11 +225,11 @@ def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedCon
     """Frame shared by the two walk testers.
 
     ``schedule(n, d, eps, constants)`` gives the WalkParams and
-    ``budget(params, d)`` their query budget. When eps >= 1 or the budget
-    exceeds N*d (and the fallback is allowed), the whole graph is read and
-    ``check(g) -> (ok, witness)`` answers exactly. Otherwise
-    ``search(o, params, rng)`` runs once per start and the first witness it
-    returns rejects.
+    ``budget(params, d)`` the most queries their walks can spend. When
+    eps >= 1 or that budget exceeds the N*d of reading the whole graph (and
+    the fallback is allowed), the graph is read and ``check(g) -> (ok,
+    witness)`` answers exactly. Otherwise ``search(o, params, rng)`` runs
+    once per start and the first witness it returns rejects.
     """
     if o.d < 2 or o.n < 2:
         raise ValueError("needs degree bound >= 2 and N >= 2")
@@ -236,24 +237,37 @@ def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedCon
         raise ValueError("eps must be positive")
     p = schedule(o.n, o.d, eps, constants)
     start = o.query_count
-    if constants.allow_exact_fallback and (eps >= 1.0 or budget(p, o.d) > o.n * o.d):
+    limit = budget(p, o.d)
+    if constants.allow_exact_fallback and (eps >= 1.0 or limit > o.n * o.d):
         ok, witness = check(read_whole_graph(o))
         return Verdict(ok, witness=witness, queries_used=o.query_count - start,
                        exact_fallback=True)
     rng = _as_rng(seed)
+    w = None
     for _ in range(p.starts):
         w = search(o, p, rng)
         if w is not None:
-            return Verdict(False, witness=w, queries_used=o.query_count - start)
-    return Verdict(True, queries_used=o.query_count - start)
+            break
+    used = o.query_count - start
+    assert used <= limit
+    return Verdict(w is None, witness=w, queries_used=used)
 
 
 # ---------------------------------------------------------------------------
 # triangle tester
 # ---------------------------------------------------------------------------
 
+def triangle_samples(eps: float, c: BoundedConstants = DEFAULT_CONSTANTS) -> int:
+    return max(1, math.ceil(c.c_t / eps))
+
+
+def triangle_budget(eps: float, d: int, c: BoundedConstants = DEFAULT_CONSTANTS) -> int:
+    """d slots of each sampled node and d of each of its neighbors."""
+    return triangle_samples(eps, c) * (d + d * d)
+
+
 def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed,
-                          c_t: float = C_TRIANGLE_BD) -> Verdict:
+                          constants: BoundedConstants = DEFAULT_CONSTANTS) -> Verdict:
     """Sample nodes and look for a pattern triangle within distance 2 by
     probing each sampled node's neighborhood and its neighbors'."""
     if o.d < 2:
@@ -262,27 +276,20 @@ def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed,
         raise ValueError("eps must be positive")
     pat = exact.triangle_pattern(pattern)
     rng = _as_rng(seed)
-    samples = max(1, math.ceil(c_t / eps))
+    budget = triangle_budget(eps, o.d, constants)
     start = o.query_count
-    for v in rng.integers(0, o.n, size=samples):
-        v = int(v)
+    for v in rng.integers(0, o.n, size=triangle_samples(eps, constants)).tolist():
         nb_v = list(o.neighbors(v))
         rows = {u: dict(o.neighbors(u)) for u, _ in nb_v}
-        for a in range(len(nb_v)):
-            u1, s1 = nb_v[a]
-            for b in range(a + 1, len(nb_v)):
-                u2, s2 = nb_v[b]
+        for a, (u1, s1) in enumerate(nb_v):
+            for u2, s2 in nb_v[a + 1:]:
                 s12 = rows[u1].get(u2)
-                if s12 is None:
-                    continue
-                if tuple(sorted((s1, s12, s2))) == pat:
+                if s12 is not None and tuple(sorted((s1, s12, s2))) == pat:
                     w = Witness(WitnessKind.SIGNED_TRIANGLE, (v, u1, u2), (s1, s12, s2))
-                    used = o.query_count - start
-                    assert used <= samples * (o.d + o.d * o.d)
-                    return Verdict(False, witness=w, queries_used=used)
-    used = o.query_count - start
-    assert used <= samples * (o.d + o.d * o.d)
-    return Verdict(True, queries_used=used)
+                    assert o.query_count - start <= budget
+                    return Verdict(False, witness=w, queries_used=o.query_count - start)
+    assert o.query_count - start <= budget
+    return Verdict(True, queries_used=o.query_count - start)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +306,11 @@ def balance_walk_schedule(n: int, d: int, eps: float,
         constants.c3 * logn**constants.walk_len_log_exponent
         / eps_p**constants.balance_len_eps_exponent))
     return WalkParams(starts, m, length)
+
+
+def balance_budget(p: WalkParams, d: int) -> int:
+    """Per start: up to 16d start draws of 1 + d queries each, one per step."""
+    return p.starts * (16 * d * (1 + d) + p.walks_per_start * p.walk_length)
 
 
 def _draw_start(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
@@ -355,8 +367,7 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
     to a G cycle with an odd number of negative edges.
     """
     return _walk_tester(
-        o, eps, seed, constants, balance_walk_schedule,
-        lambda p, d: p.starts * (16 * d * (1 + d) + p.walks_per_start * p.walk_length),
+        o, eps, seed, constants, balance_walk_schedule, balance_budget,
         lambda g: ((r := exact.is_balanced(g)).balanced, r.witness),
         _parity_search)
 
@@ -375,6 +386,12 @@ def cluster_walk_schedule(n: int, d: int, eps: float,
     return WalkParams(starts, m, length)
 
 
+def clusterability_budget(p: WalkParams, d: int) -> int:
+    """Per start: one query per step, then d for each of <= 1 + m*L visited nodes."""
+    steps = p.walks_per_start * p.walk_length
+    return p.starts * (steps + d * (1 + steps))
+
+
 def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) -> Witness | None:
     """Walk the positive subgraph from s, then probe every visited node's
     neighborhood for a negative edge inside the visited set; splicing its
@@ -382,7 +399,7 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
     parent: dict[int, int | None] = {s: None}
     for _ in range(m):
         x = s
-        for slot in rng.integers(1, o.d + 1, size=length).tolist():
+        for slot in _chunked_integers(rng, 1, o.d + 1, length):
             v = _lazy_step(o, x, slot, True)
             if v not in parent:
                 parent[v] = x
@@ -403,8 +420,7 @@ def test_clusterability_bounded(o: BoundedDegreeOracle, eps: float, seed,
     """One-sided clusterability tester: repeated bad-cycle searches from
     uniform start nodes."""
     return _walk_tester(
-        o, eps, seed, constants, cluster_walk_schedule,
-        lambda p, d: p.starts * (1 + d) * p.walks_per_start * p.walk_length,
+        o, eps, seed, constants, cluster_walk_schedule, clusterability_budget,
         lambda g: ((r := exact.is_clusterable(g)).clusterable, r.witness),
         lambda o, p, rng: badcycle_search(o, int(rng.integers(o.n)),
                                           p.walks_per_start, p.walk_length, rng))

@@ -14,11 +14,11 @@ per unique node pair).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import exact
 from .core import Sign, SignedGraph, Witness, WitnessKind
-from .oracles import DenseOracle, Verdict, _as_rng
+from .oracles import DenseOracle, Verdict, _as_rng, _chunked_integers
 
 # Budget constants. Engineering choices, not theory: defaults are sized so
 # that the desk-scale statistical checks pass with margin.
@@ -31,65 +31,98 @@ C_CLUSTER = 6.0     # subset size    = ceil(C_CLUSTER * k * ln(k) / eps^2)
 # larger ones use the local-search overestimate.
 _EXACT_INDUCED_CAP = 10
 
-_TRIPLE_CHUNK = 4096  # rows per draw in _triples
-
 LOCAL_SEARCH_RESTARTS = 10
 LOCAL_SEARCH_MOVE_FACTOR = 200
 
 
 @dataclass(frozen=True)
+class DenseConstants:
+    """The knobs of the dense testers. A sample count left None is derived
+    from eps and its multiplier by the function of the same name below."""
+
+    c_b: float = C_BALANCE
+    c_e: float = C_EDGES
+    c_c: float = C_CLUSTER
+    c_t: float = C_TRIANGLE
+    triple_samples: int | None = None
+    node_samples: int | None = None
+    subset_size: int | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.default is None:
+                if v is not None and v < 1:
+                    raise ValueError(f"{f.name} must be >= 1")
+            elif not 0 < v < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite")
+
+
+DEFAULT_CONSTANTS = DenseConstants()
+
+
+@dataclass(frozen=True)
 class DenseParams:
-    """Knobs for the dense triangle tester; None means "derive from eps"."""
+    """The run arguments of the dense triangle tester."""
 
     eps: float
     seed: int = 0
-    triple_samples: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.eps <= 1:
             raise ValueError("eps must be in (0, 1]")
-        if self.triple_samples is not None and self.triple_samples < 1:
-            raise ValueError("triple_samples must be >= 1")
 
 
-def default_triple_samples(eps: float, c_t: float = C_TRIANGLE) -> int:
-    return max(1, math.ceil(c_t / eps**3))
+def triple_samples(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+    return c.triple_samples or max(1, math.ceil(c.c_t / eps**3))
 
 
-def default_node_samples(eps: float, c_b: float = C_BALANCE) -> int:
-    return max(1, math.ceil(c_b * math.log(1.0 / eps) / eps))
+def node_samples(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+    return c.node_samples or max(1, math.ceil(c.c_b * math.log(1.0 / eps) / eps))
 
 
-def default_pair_samples(eps: float, c_e: float = C_EDGES) -> int:
-    return max(1, math.ceil(c_e / eps**2))
+def pair_samples(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+    return max(1, math.ceil(c.c_e / eps**2))
 
 
-def default_subset_size(eps: float, c_c: float = C_CLUSTER) -> int:
+def subset_size(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
     k = math.ceil(8.0 / eps)
-    return max(1, math.ceil(c_c * k * math.log(max(k, 2)) / eps**2))
+    return c.subset_size or max(1, math.ceil(c.c_c * k * math.log(max(k, 2)) / eps**2))
+
+
+# Query budgets: the most queries a tester can spend at this eps and these
+# constants. Each tester asserts that it stayed within its budget.
+
+def triangle_budget(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+    return 3 * triple_samples(eps, c)
+
+
+def balance_budget(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+    s = node_samples(eps, c)
+    return s * (s - 1) // 2
+
+
+def clusterability_budget(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+    """Also the budget of frustration_estimate_dense."""
+    s = subset_size(eps, c)
+    return pair_samples(eps / 8.0, c) + s * (s - 1) // 2
 
 
 # ---------------------------------------------------------------------------
 # triangle tester
 # ---------------------------------------------------------------------------
 
-def _triples(rng, n: int, samples: int):
-    """The rows of rng.integers(0, n, size=(samples, 3)) as Python ints, drawn
-    in chunks so memory stays bounded: the chunks concatenate to that draw."""
-    for lo in range(0, samples, _TRIPLE_CHUNK):
-        yield from rng.integers(0, n, size=(min(_TRIPLE_CHUNK, samples - lo), 3)).tolist()
-
-
-def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams, c_t: float = C_TRIANGLE) -> Verdict:
+def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams,
+                       constants: DenseConstants = DEFAULT_CONSTANTS) -> Verdict:
     """Sample uniform node triples and reject on the first one inducing a
     triangle whose sign multiset matches the pattern."""
     if o.n < 3:
         raise ValueError("triangle testing needs N >= 3")
     pat = exact.triangle_pattern(pattern)
     rng = _as_rng(p.seed)
-    samples = p.triple_samples if p.triple_samples is not None else default_triple_samples(p.eps, c_t)
     start = o.query_count
-    for a, b, c in _triples(rng, o.n, samples):
+    witness = None
+    for a, b, c in _chunked_integers(rng, 0, o.n, triple_samples(p.eps, constants), 3):
         if a == b or b == c or a == c:
             continue  # degenerate triple, nothing to query
         s_ab = o.query(a, b)
@@ -102,13 +135,11 @@ def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams, c_t: float = C_
         if s_ca is None:
             continue
         if tuple(sorted((s_ab, s_bc, s_ca))) == pat:
-            w = Witness(WitnessKind.SIGNED_TRIANGLE, (a, b, c), (s_ab, s_bc, s_ca))
-            used = o.query_count - start
-            assert used <= 3 * samples
-            return Verdict(False, witness=w, queries_used=used)
+            witness = Witness(WitnessKind.SIGNED_TRIANGLE, (a, b, c), (s_ab, s_bc, s_ca))
+            break
     used = o.query_count - start
-    assert used <= 3 * samples
-    return Verdict(True, queries_used=used)
+    assert used <= triangle_budget(p.eps, constants)
+    return Verdict(witness is None, witness=witness, queries_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +157,8 @@ def _sample_unique_nodes(rng, n: int, samples: int) -> list[int]:
 # balance tester
 # ---------------------------------------------------------------------------
 
-def test_balance_dense(
-    o: DenseOracle,
-    eps: float,
-    seed,
-    c_b: float = C_BALANCE,
-    node_samples: int | None = None,
-) -> Verdict:
+def test_balance_dense(o: DenseOracle, eps: float, seed,
+                      constants: DenseConstants = DEFAULT_CONSTANTS) -> Verdict:
     """Sample nodes, read the whole induced subgraph, accept iff it is
     balanced. Unbalance witnesses lift back to original node ids. When the
     draw covers all N nodes the read is the whole graph and the answer is
@@ -141,27 +167,23 @@ def test_balance_dense(
         raise ValueError("balance testing needs N >= 2")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    rng = _as_rng(seed)
-    s = node_samples if node_samples is not None else default_node_samples(eps, c_b)
-    nodes = _sample_unique_nodes(rng, o.n, s)
+    nodes = _sample_unique_nodes(_as_rng(seed), o.n, node_samples(eps, constants))
     start = o.query_count
     induced = o.induced(nodes)
     used = o.query_count - start
-    assert used <= s * s
-    full_read = len(nodes) == o.n
-    res = exact.is_balanced(induced)
-    if res.balanced:
-        return Verdict(True, queries_used=used, exact_fallback=full_read)
-    w = res.witness
-    lifted = Witness(w.kind, tuple(nodes[i] for i in w.nodes), w.signs)
-    return Verdict(False, witness=lifted, queries_used=used, exact_fallback=full_read)
+    assert used <= balance_budget(eps, constants)
+    w = exact.is_balanced(induced).witness
+    if w is not None:  # lift the witness back to original node ids
+        w = Witness(w.kind, tuple(nodes[i] for i in w.nodes), w.signs)
+    return Verdict(w is None, witness=w, queries_used=used, exact_fallback=len(nodes) == o.n)
 
 
 # ---------------------------------------------------------------------------
 # edge-count estimator
 # ---------------------------------------------------------------------------
 
-def estimate_edge_count(o: DenseOracle, eps: float, seed, c_e: float = C_EDGES) -> float:
+def estimate_edge_count(o: DenseOracle, eps: float, seed,
+                        constants: DenseConstants = DEFAULT_CONSTANTS) -> float:
     """Estimate |E| to additive error eps*N^2 by sampling off-diagonal
     adjacency entries. If the sample budget already covers every pair, read
     them all once and return the exact count."""
@@ -170,7 +192,7 @@ def estimate_edge_count(o: DenseOracle, eps: float, seed, c_e: float = C_EDGES) 
     n = o.n
     if n < 2:
         return 0.0
-    q = default_pair_samples(eps, c_e)
+    q = pair_samples(eps, constants)
     total_pairs = n * (n - 1) // 2
     if q >= total_pairs:
         return float(o.induced(range(n)).num_edges)
@@ -178,10 +200,7 @@ def estimate_edge_count(o: DenseOracle, eps: float, seed, c_e: float = C_EDGES) 
     us = rng.integers(0, n, size=q)
     vs = rng.integers(0, n - 1, size=q)
     vs = vs + (vs >= us)  # uniform off-diagonal ordered pairs
-    hits = 0
-    for u, v in zip(us, vs):
-        if o.query(int(u), int(v)) is not None:
-            hits += 1
+    hits = sum(o.query(u, v) is not None for u, v in zip(us.tolist(), vs.tolist()))
     return hits / q * total_pairs
 
 
@@ -266,8 +285,7 @@ def _induced_k_frustration(g: SignedGraph, k: int, rng) -> int:
     return _local_search_k_frustration(g, k, rng)
 
 
-def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, c_e: float, c_c: float,
-                               subset_size: int | None):
+def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, constants: DenseConstants):
     """Shared core: returns (estimate, queries_used, full_read_flag)."""
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
@@ -275,45 +293,32 @@ def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, c_e: float, c_c
     rng = _as_rng(seed)
     k = math.ceil(8.0 / eps)
     start = o.query_count
-    m_hat = estimate_edge_count(o, eps / 8.0, rng, c_e)
-    s = subset_size if subset_size is not None else default_subset_size(eps, c_c)
-    nodes = _sample_unique_nodes(rng, n, s)
+    m_hat = estimate_edge_count(o, eps / 8.0, rng, constants)
+    nodes = _sample_unique_nodes(rng, n, subset_size(eps, constants))
     u = len(nodes)
-    full_read = u >= n
-    if u < 2:
-        return 0.0, o.query_count - start, full_read
-    induced = o.induced(nodes)
-    frustr = _induced_k_frustration(induced, k, rng)
-    satisfied = induced.num_edges - frustr
-    # rescale satisfied constraints by the exact pair ratio; the naive
-    # (n/s)^2 factor is biased once duplicate draws are discarded
-    scale = (n * (n - 1)) / (u * (u - 1))
-    s_hat = satisfied * scale
-    est = max(0.0, m_hat - s_hat)
-    return est, o.query_count - start, full_read
+    est = 0.0
+    if u >= 2:
+        induced = o.induced(nodes)
+        frustr = _induced_k_frustration(induced, k, rng)
+        satisfied = induced.num_edges - frustr
+        # rescale satisfied constraints by the exact pair ratio; the naive
+        # (n/s)^2 factor is biased once duplicate draws are discarded
+        scale = (n * (n - 1)) / (u * (u - 1))
+        est = max(0.0, m_hat - satisfied * scale)
+    used = o.query_count - start
+    assert used <= clusterability_budget(eps, constants)
+    return est, used, u >= n
 
 
-def frustration_estimate_dense(
-    o: DenseOracle,
-    eps: float,
-    seed,
-    c_e: float = C_EDGES,
-    c_c: float = C_CLUSTER,
-    subset_size: int | None = None,
-) -> float:
+def frustration_estimate_dense(o: DenseOracle, eps: float, seed,
+                               constants: DenseConstants = DEFAULT_CONSTANTS) -> float:
     """Estimate the weak frustration index to additive error eps*N^2."""
-    est, _, _ = _estimate_weak_frustration(o, eps, seed, c_e, c_c, subset_size)
+    est, _, _ = _estimate_weak_frustration(o, eps, seed, constants)
     return est
 
 
-def test_clusterability_dense(
-    o: DenseOracle,
-    eps: float,
-    seed,
-    c_e: float = C_EDGES,
-    c_c: float = C_CLUSTER,
-    subset_size: int | None = None,
-) -> Verdict:
+def test_clusterability_dense(o: DenseOracle, eps: float, seed,
+                              constants: DenseConstants = DEFAULT_CONSTANTS) -> Verdict:
     """Tolerant two-sided tester: accept iff the estimated weak frustration
     is at most (eps/2)*N^2. Targets accepting eps/4-close inputs and
     rejecting eps-far ones. No witness (the evidence is an estimate, not a
@@ -323,11 +328,7 @@ def test_clusterability_dense(
     if eps >= 1.0:
         # every graph is 1-close to clusterable (delete all edges)
         return Verdict(True, queries_used=0, details={"estimate": 0.0, "threshold": None})
-    est, used, full_read = _estimate_weak_frustration(o, eps, seed, c_e, c_c, subset_size)
+    est, used, full_read = _estimate_weak_frustration(o, eps, seed, constants)
     threshold = (eps / 2.0) * o.n * o.n
-    return Verdict(
-        est <= threshold,
-        queries_used=used,
-        exact_fallback=full_read,
-        details={"estimate": est, "threshold": threshold},
-    )
+    return Verdict(est <= threshold, queries_used=used, exact_fallback=full_read,
+                   details={"estimate": est, "threshold": threshold})

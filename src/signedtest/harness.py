@@ -26,16 +26,13 @@ SCHEMA_VERSION = 1
 PROPERTIES = ("balance", "clusterability", "triangle")
 MODELS = ("dense", "bounded")
 
-# Budget and constant overrides: one ExperimentConfig field per name, None
-# meaning "use the tester default". The CLI flags, the config validation and
-# the CLI's config building all derive from this table.
-_EXPONENTS = ("walk_len_log_exponent", "balance_len_eps_exponent")  # may be <= 0
+# Each model's testers read their knobs from one constants object. Its fields
+# are the overrides: one ExperimentConfig field and one CLI flag each, None
+# meaning "use the tester default".
+CONSTANTS = {"bounded": bt.BoundedConstants, "dense": dt.DenseConstants}
 OVERRIDES: dict[str, type] = {
-    **dict.fromkeys(("c1", "c2", "c3", "c4", "c5", "c6", "c_b", "c_e", "c_c", "c_t"), float),
-    **dict.fromkeys(_EXPONENTS, int),
-    **dict.fromkeys(("triple_samples", "node_samples", "subset_size"), int),
-    "allow_exact_fallback": bool,
-}
+    f.name: int if f.default is None else type(f.default)
+    for cls in CONSTANTS.values() for f in dataclasses.fields(cls)}
 
 _KIND_TOKENS = {
     WitnessKind.BAD_CYCLE: "bad-cycle",
@@ -90,7 +87,8 @@ class ExperimentConfig:
 
     ``instance`` is either a GenSpec or a path to an .sgl file (pass ``d``
     to attach a degree bound to file-loaded graphs for the bounded model).
-    Override fields left as None use the tester defaults.
+    Override fields left as None use the tester defaults; setting one that
+    is not a field of the selected tester's resolved constants is an error.
     """
 
     property: str
@@ -128,21 +126,18 @@ class ExperimentConfig:
             raise ValueError("eps must be in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name, kind in OVERRIDES.items():
-            v = getattr(self, name)
-            if v is None or kind is bool:
-                continue
-            if kind is float and not math.isfinite(v):
-                raise ValueError(f"override {name} must be finite, got {v}")
-            if name not in _EXPONENTS and v <= 0:
-                raise ValueError(f"override {name} must be positive")
+        self.constants()
         if self.property == "triangle":
             exact.triangle_pattern(self.pattern)
 
-    def bounded_constants(self) -> bt.BoundedConstants:
-        kw = {f.name: getattr(self, f.name) for f in dataclasses.fields(bt.BoundedConstants)
-              if getattr(self, f.name) is not None}
-        return dataclasses.replace(bt.DEFAULT_CONSTANTS, **kw)
+    def constants(self):
+        """The selected model's constants object, with this config's overrides."""
+        kw = {name: getattr(self, name) for name in OVERRIDES if getattr(self, name) is not None}
+        unread = [name for name in kw if name not in _resolved_keys(self.model, self.property)]
+        if unread:
+            raise ValueError(f"the {self.model} {self.property} tester does not read "
+                             f"{', '.join(unread)}")
+        return CONSTANTS[self.model](**kw)
 
 
 def _config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -165,75 +160,48 @@ def load_instance(cfg: ExperimentConfig) -> SignedGraph:
     return g
 
 
-def _or(value, default):
-    return default if value is None else value
-
-
-def _dense_constants(cfg: ExperimentConfig) -> dict:
-    return {"c_b": _or(cfg.c_b, dt.C_BALANCE), "c_e": _or(cfg.c_e, dt.C_EDGES),
-            "c_c": _or(cfg.c_c, dt.C_CLUSTER), "c_t": _or(cfg.c_t, dt.C_TRIANGLE)}
-
-
-def _dense_triangle(cfg: ExperimentConfig, g: SignedGraph):
-    c = _dense_constants(cfg)
-    c["triple_samples"] = _or(cfg.triple_samples, dt.default_triple_samples(cfg.eps, c["c_t"]))
-    return c, lambda rng: dt.test_triangle_dense(
-        DenseOracle(g), cfg.pattern,
-        dt.DenseParams(eps=cfg.eps, seed=rng, triple_samples=c["triple_samples"]))
-
-
-def _dense_balance(cfg: ExperimentConfig, g: SignedGraph):
-    c = _dense_constants(cfg)
-    c["node_samples"] = _or(cfg.node_samples, dt.default_node_samples(cfg.eps, c["c_b"]))
-    return c, lambda rng: dt.test_balance_dense(
-        DenseOracle(g), cfg.eps, rng, c_b=c["c_b"], node_samples=c["node_samples"])
-
-
-def _dense_clusterability(cfg: ExperimentConfig, g: SignedGraph):
-    c = _dense_constants(cfg)
-    c["subset_size"] = _or(cfg.subset_size, dt.default_subset_size(cfg.eps, c["c_c"]))
-    return c, lambda rng: dt.test_clusterability_dense(
-        DenseOracle(g), cfg.eps, rng, c_e=c["c_e"], c_c=c["c_c"], subset_size=c["subset_size"])
-
-
-def _bounded_constants(cfg: ExperimentConfig) -> tuple[dict, bt.BoundedConstants]:
-    consts = cfg.bounded_constants()
-    c = dataclasses.asdict(consts)
-    c["c_t"] = _or(cfg.c_t, bt.C_TRIANGLE_BD)
-    return c, consts
-
-
-def _bounded_triangle(cfg: ExperimentConfig, g: SignedGraph):
-    c, _ = _bounded_constants(cfg)
-    return c, lambda rng: bt.test_triangle_bounded(
-        BoundedDegreeOracle(g), cfg.pattern, cfg.eps, rng, c_t=c["c_t"])
-
-
-def _bounded_walk(schedule, tester):
-    def setup(cfg: ExperimentConfig, g: SignedGraph):
-        c, consts = _bounded_constants(cfg)
-        c["schedule"] = dataclasses.asdict(schedule(g.n, g.degree_bound, cfg.eps, consts))
-        return c, lambda rng: tester(BoundedDegreeOracle(g), cfg.eps, rng, constants=consts)
-    return setup
-
-
-# (model, property) -> setup(cfg, g) returning (resolved constants, run),
-# where run(rng) builds a fresh oracle and returns one Verdict.
+# (model, property) -> (derived, run). derived maps each value the tester
+# derives from its constants c, reported beside them, to a function of
+# (cfg, g, c); run(cfg, o, c, rng) calls the tester on a fresh oracle o.
 TESTERS = {
-    ("dense", "triangle"): _dense_triangle,
-    ("dense", "balance"): _dense_balance,
-    ("dense", "clusterability"): _dense_clusterability,
-    ("bounded", "triangle"): _bounded_triangle,
-    ("bounded", "balance"): _bounded_walk(bt.balance_walk_schedule, bt.test_balance_bounded),
-    ("bounded", "clusterability"): _bounded_walk(bt.cluster_walk_schedule,
-                                                 bt.test_clusterability_bounded),
+    ("dense", "triangle"): (
+        {"triple_samples": lambda cfg, g, c: dt.triple_samples(cfg.eps, c)},
+        lambda cfg, o, c, rng: dt.test_triangle_dense(
+            o, cfg.pattern, dt.DenseParams(cfg.eps, rng), constants=c)),
+    ("dense", "balance"): (
+        {"node_samples": lambda cfg, g, c: dt.node_samples(cfg.eps, c)},
+        lambda cfg, o, c, rng: dt.test_balance_dense(o, cfg.eps, rng, constants=c)),
+    ("dense", "clusterability"): (
+        {"subset_size": lambda cfg, g, c: dt.subset_size(cfg.eps, c)},
+        lambda cfg, o, c, rng: dt.test_clusterability_dense(o, cfg.eps, rng, constants=c)),
+    ("bounded", "triangle"): (
+        {},
+        lambda cfg, o, c, rng: bt.test_triangle_bounded(
+            o, cfg.pattern, cfg.eps, rng, constants=c)),
+    ("bounded", "balance"): (
+        {"schedule": lambda cfg, g, c: dataclasses.asdict(
+            bt.balance_walk_schedule(g.n, g.degree_bound, cfg.eps, c))},
+        lambda cfg, o, c, rng: bt.test_balance_bounded(o, cfg.eps, rng, constants=c)),
+    ("bounded", "clusterability"): (
+        {"schedule": lambda cfg, g, c: dataclasses.asdict(
+            bt.cluster_walk_schedule(g.n, g.degree_bound, cfg.eps, c))},
+        lambda cfg, o, c, rng: bt.test_clusterability_bounded(o, cfg.eps, rng, constants=c)),
 }
+ORACLES = {"dense": DenseOracle, "bounded": BoundedDegreeOracle}
 
 
-def _run_one_trial(run, g: SignedGraph, seed: int, trial: int) -> dict:
-    rng = RandomSource(seed).stream(trial)
+def _resolved_keys(model: str, prop: str) -> list[str]:
+    """The fields of the model's constants that have a default, then what
+    the tester derives from them."""
+    return [f.name for f in dataclasses.fields(CONSTANTS[model])
+            if f.default is not None] + list(TESTERS[model, prop][0])
+
+
+def _run_one_trial(cfg: ExperimentConfig, g: SignedGraph, c, trial: int) -> dict:
+    rng = RandomSource(cfg.seed).stream(trial)
+    run = TESTERS[cfg.model, cfg.property][1]
     t0 = time.perf_counter()
-    v = run(rng)
+    v = run(cfg, ORACLES[cfg.model](g), c, rng)
     wall = time.perf_counter() - t0
     row = {
         "trial": trial,
@@ -287,8 +255,11 @@ def strip_wall_times(report_dict: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.trials independent tester runs and aggregate them."""
     g = load_instance(cfg)
-    resolved, run = TESTERS[cfg.model, cfg.property](cfg, g)
-    rows = [_run_one_trial(run, g, cfg.seed, t) for t in range(cfg.trials)]
+    c = cfg.constants()
+    derived = TESTERS[cfg.model, cfg.property][0]
+    resolved = {name: derived[name](cfg, g, c) if name in derived else getattr(c, name)
+                for name in _resolved_keys(cfg.model, cfg.property)}
+    rows = [_run_one_trial(cfg, g, c, t) for t in range(cfg.trials)]
     rejects = sum(1 for r in rows if r["decision"] == "reject")
     lo, hi = wilson(rejects, cfg.trials)
     queries = [r["queries"] for r in rows]

@@ -129,6 +129,17 @@ def _as_rng(seed) -> np.random.Generator:
     return RandomSource(int(seed)).generator()
 
 
+_CHUNK = 4096  # rows per draw in _chunked_integers
+
+
+def _chunked_integers(rng, low: int, high: int, rows: int, *shape: int) -> Iterator:
+    """The rows of rng.integers(low, high, size=(rows, *shape)) as Python
+    values, drawn _CHUNK rows at a time so memory stays bounded. The chunks
+    concatenate to that one draw and leave the stream where it would."""
+    for lo in range(0, rows, _CHUNK):
+        yield from rng.integers(low, high, size=(min(_CHUNK, rows - lo), *shape)).tolist()
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Tester outcome. One-sided testers attach a witness to every reject;

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -293,6 +294,18 @@ class TestBadCycleSearch:
         # visited set on one triangle component has <= 3 nodes
         assert o.query_count <= m * L + o.d * 3
 
+    def test_slot_draws_use_bounded_memory(self):
+        # drawing all 10^6 slots before the first step peaks near 16 MB
+        o = _oracle(make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS)], d=2))
+        tracemalloc.start()
+        try:
+            w = bt.badcycle_search(o, 0, 1, 10**6, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is None and o.query_count == 10**6 + 3 * 2
+        assert peak < 2**20
+
     def test_walks_step_through_the_shared_core(self, monkeypatch):
         # a core that never moves: the walks then cost no query of their own,
         # and only the start node's row is probed (deg 1 < d, so 2 queries)
@@ -463,6 +476,33 @@ class TestClusterabilityBounded:
                 assert exact.verify_witness(g, v.witness) is None
                 rejects += 1
         assert rejects >= 25
+
+
+class TestBudgets:
+    # one step per walk makes the visited-set probes weigh most
+    ONE_STEP = bt.BoundedConstants(allow_exact_fallback=False, c1=1.0, c2=1e-9, c3=1e-9,
+                                   c4=1.0, c5=1e-9, c6=1e-9)
+    FEW_STEPS = bt.BoundedConstants(allow_exact_fallback=False, c1=1.0, c2=2e-3, c3=2e-2,
+                                    c5=0.5, c6=2.0, walk_len_log_exponent=0)
+
+    @pytest.mark.parametrize("constants", [ONE_STEP, FEW_STEPS], ids=["one-step", "few-steps"])
+    def test_every_budget_bounds_its_tester(self, constants):
+        for n in (2, 3, 4):
+            for g in all_signed_graphs(n):
+                for d in (max(2, g.max_degree()), max(2, g.max_degree()) + 1):
+                    gb = SignedGraph.from_edges(n, list(g.edges()), degree_bound=d)
+                    for eps, sd in ((0.5, 0), (0.9, 1), (0.9, 2)):
+                        budgets = (
+                            (bt.test_triangle_bounded(_oracle(gb), PPM, eps, sd, constants),
+                             bt.triangle_budget(eps, d, constants)),
+                            (bt.test_balance_bounded(_oracle(gb), eps, sd, constants),
+                             bt.balance_budget(bt.balance_walk_schedule(n, d, eps, constants), d)),
+                            (bt.test_clusterability_bounded(_oracle(gb), eps, sd, constants),
+                             bt.clusterability_budget(
+                                 bt.cluster_walk_schedule(n, d, eps, constants), d)))
+                        for v, budget in budgets:
+                            assert not v.exact_fallback
+                            assert v.queries_used <= budget
 
 
 class TestConfigValidation:

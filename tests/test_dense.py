@@ -17,7 +17,7 @@ from signedtest.generators import (
     GenSpec,
     generate,
 )
-from signedtest.oracles import DenseOracle
+from signedtest.oracles import DenseOracle, _chunked_integers
 
 from conftest import all_signed_graphs, make_graph, random_signed_graph
 
@@ -43,13 +43,13 @@ class TestDenseParams:
 
     def test_budget_positivity(self):
         with pytest.raises(ValueError, match="triple_samples"):
-            dt.DenseParams(eps=0.5, triple_samples=0)
+            dt.DenseConstants(triple_samples=0)
 
     def test_default_budgets(self):
-        assert dt.default_triple_samples(0.5) == 80
-        assert dt.default_node_samples(0.1) == 461
-        assert dt.default_pair_samples(0.1) == 800
-        assert dt.default_subset_size(1.0) >= 1
+        assert dt.triple_samples(0.5) == 80
+        assert dt.node_samples(0.1) == 461
+        assert dt.pair_samples(0.1) == 800
+        assert dt.subset_size(1.0) >= 1
 
 
 class TestTriangleDense:
@@ -84,7 +84,8 @@ class TestTriangleDense:
     def test_budget_respected_and_degenerate_triples_free(self):
         g = make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.PLUS)])
         o = DenseOracle(g)
-        v = dt.test_triangle_dense(o, PPM, dt.DenseParams(eps=1.0, triple_samples=500, seed=1))
+        v = dt.test_triangle_dense(o, PPM, dt.DenseParams(eps=1.0, seed=1),
+                                   constants=dt.DenseConstants(triple_samples=500))
         assert v.accept
         # distinct triples cost 3 queries, degenerate ones cost none
         assert v.queries_used == o.query_count
@@ -93,10 +94,12 @@ class TestTriangleDense:
     @pytest.mark.parametrize("n", [3, 7, 1000, 2**40])
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 12289])
     def test_chunked_triples_equal_one_draw(self, n, samples):
-        for seed in (0, 9):
+        # rows of three (the triangle tester's triples) and single values
+        # (the bad-cycle walk's slots)
+        for seed, row in itertools.product((0, 9), [(3,), ()]):
             one, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = one.integers(0, n, size=(samples, 3)).tolist()
-            got = list(dt._triples(chunked, n, samples))
+            want = one.integers(0, n, size=(samples, *row)).tolist()
+            got = list(_chunked_integers(chunked, 0, n, samples, *row))
             assert got == want
             assert chunked.random() == one.random()  # the stream continues alike
 
@@ -107,8 +110,8 @@ class TestTriangleDense:
         o = DenseOracle(g)
         tracemalloc.start()
         try:
-            v = dt.test_triangle_dense(o, "---", dt.DenseParams(eps=0.5, seed=0,
-                                                                triple_samples=10**7))
+            v = dt.test_triangle_dense(o, "---", dt.DenseParams(eps=0.5, seed=0),
+                                       constants=dt.DenseConstants(triple_samples=10**7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,6 +122,26 @@ class TestTriangleDense:
         g = make_graph(2, [(0, 1, Sign.PLUS)])
         with pytest.raises(ValueError, match="N >= 3"):
             dt.test_triangle_dense(DenseOracle(g), PPM, dt.DenseParams(eps=0.5))
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("constants", [
+        dt.DEFAULT_CONSTANTS,
+        dt.DenseConstants(c_e=1e-3, triple_samples=5, node_samples=3, subset_size=3),
+    ], ids=["default", "small"])
+    def test_every_budget_bounds_its_tester(self, constants):
+        for n in (3, 4):
+            for g in all_signed_graphs(n):
+                for eps, sd in ((0.5, 0), (0.5, 1), (1.0, 2)):
+                    budgets = (
+                        (dt.test_triangle_dense(DenseOracle(g), PPM, dt.DenseParams(eps, sd),
+                                                constants), dt.triangle_budget(eps, constants)),
+                        (dt.test_balance_dense(DenseOracle(g), eps, sd, constants),
+                         dt.balance_budget(eps, constants)),
+                        (dt.test_clusterability_dense(DenseOracle(g), eps, sd, constants),
+                         dt.clusterability_budget(eps, constants)))
+                    for v, budget in budgets:
+                        assert v.queries_used <= budget
 
 
 class TestBalanceDense:
@@ -154,7 +177,7 @@ class TestBalanceDense:
     def test_budget_bound(self):
         g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 40))
         o = DenseOracle(g)
-        s = dt.default_node_samples(0.3)
+        s = dt.node_samples(0.3)
         v = dt.test_balance_dense(o, 0.3, 7)
         assert v.queries_used <= s * s
 
@@ -199,7 +222,7 @@ class TestEstimateEdgeCount:
         g = random_signed_graph(rng, 300, p_edge=0.3)
         o = DenseOracle(g)
         dt.estimate_edge_count(o, 0.05, 1)
-        assert o.query_count == dt.default_pair_samples(0.05)
+        assert o.query_count == dt.pair_samples(0.05)
 
 
 class TestClusterabilityDense:
@@ -233,7 +256,8 @@ class TestClusterabilityDense:
         rates = []
         for t in (10, 30, 50):
             o = DenseOracle(_partial_bad_triangles(N, t))
-            rej = sum(not dt.test_clusterability_dense(o, eps, sd, subset_size=100).accept
+            rej = sum(not dt.test_clusterability_dense(
+                          o, eps, sd, constants=dt.DenseConstants(subset_size=100)).accept
                       for sd in range(200))
             rates.append(rej / 200)
         assert rates[0] <= rates[1] + 0.05
@@ -261,7 +285,8 @@ class TestFrustrationEstimate:
         g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 300))
         o = DenseOracle(g)
         for sd in range(30):
-            est = dt.frustration_estimate_dense(o, 0.3, sd, subset_size=80)
+            est = dt.frustration_estimate_dense(o, 0.3, sd,
+                                                constants=dt.DenseConstants(subset_size=80))
             assert abs(est - 100) <= 0.3 * 300 * 300
 
     def test_local_search_never_underestimates(self):

@@ -104,11 +104,11 @@ class TestConfig:
         {"eps": 0.0},
         {"eps": 1.5},
         {"trials": 0},
-        {"c2": -1.0},
+        {"model": "bounded", "c2": -1.0},
         {"node_samples": 0},
         {"property": "triangle", "pattern": "+-"},
         {"property": "triangle", "pattern": "+*-"},
-        {"c1": float("inf")},
+        {"model": "bounded", "c1": float("inf")},
         {"c_b": float("nan")},
     ])
     def test_invalid(self, kw):
@@ -117,7 +117,7 @@ class TestConfig:
 
     def test_bounded_constants_merge(self):
         cfg = self.base(model="bounded", c2=0.5, allow_exact_fallback=False)
-        consts = cfg.bounded_constants()
+        consts = cfg.constants()
         assert consts.c2 == 0.5
         assert consts.allow_exact_fallback is False
         assert consts.c1 == 8.0  # untouched default
@@ -398,11 +398,11 @@ class TestCli:
 
     @pytest.mark.parametrize("args,message", [
         (["--model", "bounded", "--property", "balance", "--c1", "inf"],
-         "override c1 must be finite, got inf"),
+         "c1 must be positive and finite"),
         (["--model", "bounded", "--property", "balance", "--c1", "nan"],
-         "override c1 must be finite, got nan"),
+         "c1 must be positive and finite"),
         (["--model", "dense", "--property", "balance", "--c-b", "inf"],
-         "override c_b must be finite, got inf"),
+         "c_b must be positive and finite"),
         (["--model", "dense", "--property", "triangle", "--pattern", "+*-"],
          "bad sign token '*', expected '+' or '-'"),
         # finite values whose budgets overflow or underflow
@@ -411,8 +411,27 @@ class TestCli:
         (["--model", "bounded", "--property", "clusterability", "--eps", "1e-300"], ""),
         (["--model", "dense", "--property", "triangle", "--eps", "1e-300"], ""),
         (["--model", "dense", "--property", "clusterability", "--eps", "1e-300"], ""),
+        # overrides the selected tester does not read
+        (["--model", "dense", "--property", "balance", "--c1", "5"],
+         "the dense balance tester does not read c1\n"),
+        (["--model", "dense", "--property", "balance", "--triple-samples", "3"],
+         "the dense balance tester does not read triple_samples\n"),
+        (["--model", "bounded", "--property", "triangle", "--node-samples", "3"],
+         "the bounded triangle tester does not read node_samples\n"),
+        (["--model", "dense", "--property", "balance", "--no-exact-fallback"],
+         "the dense balance tester does not read allow_exact_fallback\n"),
+        (["--model", "dense", "--property", "clusterability", "--no-exact-fallback"],
+         "the dense clusterability tester does not read allow_exact_fallback\n"),
+        (["--model", "dense", "--property", "triangle", "--no-exact-fallback"],
+         "the dense triangle tester does not read allow_exact_fallback\n"),
+        (["--model", "dense", "--property", "balance", "--c1", "5", "--no-exact-fallback",
+          "--triple-samples", "3"],
+         "the dense balance tester does not read c1, allow_exact_fallback, triple_samples\n"),
     ], ids=["c1-inf", "c1-nan", "c_b-inf", "pattern", "c2-1e308", "bounded-balance-eps",
-            "bounded-clusterability-eps", "dense-triangle-eps", "dense-clusterability-eps"])
+            "bounded-clusterability-eps", "dense-triangle-eps", "dense-clusterability-eps",
+            "unread-c1", "unread-triple-samples", "unread-node-samples",
+            "unread-fallback-dense-balance", "unread-fallback-dense-clusterability",
+            "unread-fallback-dense-triangle", "unread-three"])
     def test_bad_numbers_are_a_one_line_error(self, tmp_path, capsys, args, message):
         if "--eps" not in args:
             args = [*args, "--eps", "0.5"]
