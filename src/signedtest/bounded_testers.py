@@ -4,9 +4,10 @@ The balance tester walks lazily on a virtual graph G2 in which every positive
 edge of G is subdivided by an extra node; G is balanced exactly when G2 is
 bipartite, so a vertex reached by both an even and an odd move-path certifies
 an odd cycle, which maps back to a cycle of G carrying an odd number of
-negative edges. G2 is never materialized: its nodes are addressed as
-``GPrimeNode`` tags and both walking and start-node sampling are implemented
-purely through oracle queries.
+negative edges. G2 is never materialized: its nodes are plain int ids
+(original node u keeps id u, and the midpoint of positive edge (u, v), u < v,
+is ``core.midpoint`` N + u*N + v), and both walking and start-node sampling
+are implemented purely through oracle queries.
 
 The clusterability tester searches for a "bad cycle" (exactly one negative
 edge): it walks on the positive subgraph only, collects the visited set, and
@@ -25,15 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import exact
-from .core import (
-    GPrimeNode,
-    Sign,
-    SignedGraph,
-    Witness,
-    WitnessKind,
-    original,
-    subdivision,
-)
+from .core import Sign, SignedGraph, Witness, WitnessKind, midpoint
 from .oracles import BoundedDegreeOracle, Verdict, _as_rng, _chunked_integers
 
 C_TRIANGLE_BD = 10.0
@@ -81,51 +74,47 @@ class WalkParams:
 # walk primitives
 # ---------------------------------------------------------------------------
 
-def _lazy_step(o: BoundedDegreeOracle, v: int, slot: int, restrict_to_positive: bool) -> int:
-    """Decision core for one lazy step on G, fed a pre-drawn neighbor slot:
-    stay on an empty slot (or on a negative edge when restricted to the
-    positive subgraph), else move. Exactly one oracle query."""
+def _lazy_step(o: BoundedDegreeOracle, v: int, slot: int) -> int:
+    """Decision core for one lazy step on the positive subgraph of G, fed a
+    pre-drawn neighbor slot: stay on an empty slot or a negative edge, else
+    move. Exactly one oracle query."""
     res = o.query(v, slot)
-    if res is None:
+    if res is None or res[1]:  # sign 1 is minus
         return v
-    u, sign = res
-    if restrict_to_positive and sign:  # sign 1 is minus
-        return v
-    return u
+    return res[0]
 
 
-def _gprime_step(o: BoundedDegreeOracle, x: GPrimeNode, slot: int, coin: float) -> GPrimeNode:
+def _gprime_step(o: BoundedDegreeOracle, x: int, slot: int, coin: float) -> int:
     """Decision core for one lazy step on G2, fed pre-drawn randomness.
 
-    Original(u): query slot; empty -> stay; negative edge -> the neighbor;
-    positive edge -> its subdivision node. Subdivision nodes have degree 2,
-    so under the uniform bound d they move with probability 2/d, splitting
-    the coin evenly between the two endpoints. Costs 1 query from an
-    original node, 0 from a subdivision node.
+    Original u: query slot; empty -> stay; negative edge -> the neighbor;
+    positive edge -> its midpoint. Midpoints have degree 2, so under the
+    uniform bound d they move with probability 2/d, splitting the coin
+    evenly between the two endpoints. Costs 1 query from an original node,
+    0 from a midpoint.
     """
-    if x.is_original:
-        res = o.query(x.u, slot)
+    n = o.n
+    if x < n:
+        res = o.query(x, slot)
         if res is None:
             return x
         v, sign = res
-        if sign:  # minus
-            return original(v)
-        return subdivision(x.u, v)
+        return v if sign else midpoint(n, x, v)  # sign 1 is minus
     if coin * o.d < 2.0:
-        return original(x.u if coin * o.d < 1.0 else x.v)
+        u, v = divmod(x - n, n)
+        return u if coin * o.d < 1.0 else v
     return x
 
 
-def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
-    """One attempt to draw a uniform G2 node; None means abstain.
+def sample_gprime_node(o: BoundedDegreeOracle, rng) -> int | None:
+    """One attempt to draw a uniform G2 node id; None means abstain.
 
     Draw (u, i) uniform over [N] x [d] and query it. An empty slot abstains.
-    A negative edge returns Original(u) with probability 1/(4 deg(u)). A
-    positive edge (u, v) with u < v returns its subdivision node with
-    probability 1/4, else falls back to Original(u) with conditional
-    probability 1/(3 deg(u)); with u > v it returns Original(u) with
-    probability 1/(4 deg(u)). Every non-isolated original node and every
-    subdivision node then comes out with probability exactly 1/(4dN) per
+    A negative edge returns u with probability 1/(4 deg(u)). A positive
+    edge (u, v) with u < v returns its midpoint with probability 1/4, else
+    falls back to u with conditional probability 1/(3 deg(u)); with u > v
+    it returns u with probability 1/(4 deg(u)). Every non-isolated original
+    node and every midpoint then comes out with probability exactly 1/(4dN) per
     attempt. Isolated nodes are never returned (they cannot host a walk).
     Degree is obtained by probing, adding at most d queries per attempt.
     """
@@ -137,10 +126,10 @@ def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
     v, sign = res
     forward_plus = not sign and u < v  # sign 0 is plus
     if forward_plus and rng.random() < 0.25:
-        return subdivision(u, v)
+        return midpoint(o.n, u, v)
     deg = sum(1 for _ in o.neighbors(u))
     if rng.random() < 1.0 / ((3.0 if forward_plus else 4.0) * deg):
-        return original(u)
+        return u
     return None
 
 
@@ -148,13 +137,13 @@ def sample_gprime_node(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
 # witness extraction helpers
 # ---------------------------------------------------------------------------
 
-def _extract_odd_cycle(closed_walk: list[GPrimeNode]) -> list[GPrimeNode]:
+def _extract_odd_cycle(closed_walk: list[int]) -> list[int]:
     """Reduce a closed odd walk (first == last) to a simple odd cycle by
     repeatedly splitting at a repeated vertex and keeping the odd half."""
     cyc = closed_walk[:-1]
     assert len(cyc) % 2 == 1
     while True:
-        seen: dict[GPrimeNode, int] = {}
+        seen: dict[int, int] = {}
         rep = None
         for idx, v in enumerate(cyc):
             if v in seen:
@@ -168,19 +157,19 @@ def _extract_odd_cycle(closed_walk: list[GPrimeNode]) -> list[GPrimeNode]:
         cyc = inner if (j - i) % 2 == 1 else cyc[:i] + cyc[j:]
 
 
-def _contract_to_g_cycle(cyc: list[GPrimeNode]) -> Witness:
-    """Map a simple odd G2 cycle to the corresponding G cycle: direct
-    original-original edges are negative, subdivision hops are positive."""
-    if not cyc[0].is_original:
+def _contract_to_g_cycle(cyc: list[int], n: int) -> Witness:
+    """Map a simple odd G2 cycle of an n-node G to the corresponding G
+    cycle: direct original-original edges are negative, midpoint hops are
+    positive."""
+    if cyc[0] >= n:
         cyc = cyc[1:] + cyc[:1]
     nodes: list[int] = []
     signs: list[int] = []
     k = len(cyc)
     i = 0
     while i < k:
-        x = cyc[i]
-        nodes.append(x.u)
-        if cyc[(i + 1) % k].is_original:
+        nodes.append(cyc[i])
+        if cyc[(i + 1) % k] < n:
             signs.append(Sign.MINUS)
             i += 1
         else:
@@ -313,7 +302,7 @@ def balance_budget(p: WalkParams, d: int) -> int:
     return p.starts * (16 * d * (1 + d) + p.walks_per_start * p.walk_length)
 
 
-def _draw_start(o: BoundedDegreeOracle, rng) -> GPrimeNode | None:
+def _draw_start(o: BoundedDegreeOracle, rng) -> int | None:
     for _ in range(16 * o.d):
         x = sample_gprime_node(o, rng)
         if x is not None:
@@ -328,31 +317,25 @@ def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None
     s = _draw_start(o, rng)
     if s is None:
         return None
-    # first arrival (walk index, move count) per (G2 node, path parity);
-    # both parities at one node prove an odd cycle
-    first: dict[tuple[GPrimeNode, int], tuple[int, int]] = {}
-    paths: list[list[GPrimeNode]] = []
-    for widx in range(p.walks_per_start):
-        cur = [s]
-        first.setdefault((s, 0), (widx, 0))
-        slots = rng.integers(1, o.d + 1, size=p.walk_length)
-        coins = rng.random(p.walk_length)
-        x = s
-        for step in range(p.walk_length):
-            nxt = _gprime_step(o, x, int(slots[step]), float(coins[step]))
+    # walk state 2*id + parity of the moves so far; each state keeps the
+    # state of its first arrival, and both parities at one node prove an
+    # odd cycle
+    parent: dict[int, int | None] = {2 * s: None}
+    for _ in range(p.walks_per_start):
+        slots = rng.integers(1, o.d + 1, size=p.walk_length).tolist()
+        coins = rng.random(p.walk_length).tolist()
+        x, state = s, 2 * s
+        for slot, coin in zip(slots, coins):
+            nxt = _gprime_step(o, x, slot, coin)
             if nxt == x:
                 continue
-            x = nxt
-            cur.append(x)
-            pos = len(cur) - 1
-            first.setdefault((x, pos & 1), (widx, pos))
-            other = first.get((x, 1 - (pos & 1)))
-            if other is not None:
-                owidx, opos = other
-                path_a = paths[owidx][: opos + 1] if owidx < widx else cur[: opos + 1]
-                closed = path_a + list(reversed(cur))[1:]
-                return _contract_to_g_cycle(_extract_odd_cycle(closed))
-        paths.append(cur)
+            x, prev = nxt, state
+            state = 2 * x + ((prev & 1) ^ 1)
+            parent.setdefault(state, prev)
+            if state ^ 1 in parent:
+                # the tree path between x's two states is a closed odd walk
+                closed = [t >> 1 for t in _splice_tree_paths(parent, state, state ^ 1)]
+                return _contract_to_g_cycle(_extract_odd_cycle(closed), o.n)
     return None
 
 
@@ -362,9 +345,9 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
 
     Testing eps-balancedness of G reduces to testing eps/(d+1)-bipartiteness
     of G2. Parity counts actual moves (lazy self-loops leave path length
-    unchanged). A (node, parity) collision splices the two move paths into a
-    closed odd walk, which is reduced to a simple odd G2 cycle and contracted
-    to a G cycle with an odd number of negative edges.
+    unchanged). A (node, parity) collision splices the two first-arrival
+    paths into a closed odd walk, which is reduced to a simple odd G2 cycle
+    and contracted to a G cycle with an odd number of negative edges.
     """
     return _walk_tester(
         o, eps, seed, constants, balance_walk_schedule, balance_budget,
@@ -400,7 +383,7 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
     for _ in range(m):
         x = s
         for slot in _chunked_integers(rng, 1, o.d + 1, length):
-            v = _lazy_step(o, x, slot, True)
+            v = _lazy_step(o, x, slot)
             if v not in parent:
                 parent[v] = x
             x = v

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -256,26 +256,15 @@ def dumps_edge_list(g: SignedGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-class GPrimeNode(NamedTuple):
-    """A node of the subdivision graph: original u (v is None), or the
-    midpoint of positive edge (u, v) with u < v."""
+def midpoint(n: int, u: int, v: int) -> int:
+    """Id of the subdivision node on positive edge (u, v) of an n-node graph.
 
-    u: int
-    v: int | None = None
-
-    @property
-    def is_original(self) -> bool:
-        return self.v is None
-
-
-def original(u: int) -> GPrimeNode:
-    return GPrimeNode(u, None)
-
-
-def subdivision(u: int, v: int) -> GPrimeNode:
+    Original node u keeps id u; the midpoint of (u, v) with u < v is
+    n + u*n + v, so every id is a plain int and ids never collide.
+    """
     if u > v:
         u, v = v, u
-    return GPrimeNode(u, v)
+    return n + u * n + v
 
 
 @dataclass(frozen=True)
@@ -290,16 +279,16 @@ class UnsignedGraph:
         return sum(len(l) for l in self.adj) // 2
 
 
-def zaslavsky_transform(g: SignedGraph) -> tuple[UnsignedGraph, tuple[GPrimeNode, ...]]:
+def zaslavsky_transform(g: SignedGraph) -> tuple[UnsignedGraph, tuple[int, ...]]:
     """Subdivide each positive edge with a fresh midpoint; keep negative edges.
 
-    Returns the unsigned result and a provenance map: entry i names the
-    source of node i (original vertex or subdivided positive edge).
+    Returns the unsigned result and a provenance map: entry i is the id of
+    node i's source, the original vertex or the ``midpoint`` of its edge.
     The result is bipartite exactly when g is balanced, and its minimum
     edge-deletion distance to bipartiteness equals g's frustration index.
     """
     pos_edges = [(u, v) for u, v, s in g.edges() if s == Sign.PLUS]
-    prov = [original(u) for u in range(g.n)] + [subdivision(u, v) for u, v in pos_edges]
+    prov = [*range(g.n), *(midpoint(g.n, u, v) for u, v in pos_edges)]
     lists: list[list[int]] = [[] for _ in range(len(prov))]
     for idx, (u, v) in enumerate(pos_edges):
         w = g.n + idx

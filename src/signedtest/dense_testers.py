@@ -6,9 +6,10 @@ that ``exact.verify_witness`` accepts against the backing graph. The
 clusterability tester is tolerant and two-sided: it estimates the weak
 frustration index and thresholds it, so it returns no witness.
 
-Sampling is with replacement throughout; duplicates are simply kept (they
-cost no extra queries for induced-subgraph work since pairs are queried once
-per unique node pair).
+Sampling is with replacement throughout. The balance and clusterability
+testers drop repeated nodes before reading the induced subgraph, the triangle
+tester skips a triple with a repeated node without querying it, and the edge
+estimator keeps repeated pairs.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ def _build_communities(rng, n, d, k, used, edges):
     for i, g in enumerate(groups):
         for v in g:
             gid[v] = i
-    order = list(rng.permutation(n))
+    order = rng.permutation(n).tolist()
     free = [v for v in order if degree[v] < d - 1]
     i = 0
     while i + 1 < len(free):

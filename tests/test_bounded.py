@@ -16,8 +16,7 @@ from signedtest.core import (
     Sign,
     SignedGraph,
     WitnessKind,
-    original,
-    subdivision,
+    midpoint,
     zaslavsky_transform,
 )
 from signedtest.generators import (
@@ -43,9 +42,10 @@ def _oracle(g):
     return BoundedDegreeOracle(g)
 
 
-def _lazy_step(o, v, restrict_to_positive, rng):
-    """One lazy G walk step through the testers' step core, fed a uniform slot."""
-    return bt._lazy_step(o, v, int(rng.integers(1, o.d + 1)), restrict_to_positive)
+def _lazy_step(o, v, rng):
+    """One lazy positive-subgraph walk step through the clusterability
+    tester's step core, fed a uniform slot."""
+    return bt._lazy_step(o, v, int(rng.integers(1, o.d + 1)))
 
 
 def _gprime_step(o, x, rng):
@@ -68,13 +68,13 @@ class TestLazyWalkStep:
         g = make_graph(3, [(0, 1, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(0)
-        assert all(_lazy_step(o, 2, False, rng) == 2 for _ in range(50))
+        assert all(_lazy_step(o, 2, rng) == 2 for _ in range(50))
 
     def test_full_degree_always_moves(self):
         g = make_graph(3, [(0, 1, Sign.PLUS), (0, 2, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(1)
-        moves = [_lazy_step(o, 0, False, rng) for _ in range(200)]
+        moves = [_lazy_step(o, 0, rng) for _ in range(200)]
         assert 0 not in moves and {1, 2} == set(moves)
 
     def test_positive_restriction_rate(self):
@@ -83,7 +83,7 @@ class TestLazyWalkStep:
         o = _oracle(g)
         rng = np.random.default_rng(2)
         n = 100_000
-        outs = Counter(_lazy_step(o, 0, True, rng) for _ in range(n))
+        outs = Counter(_lazy_step(o, 0, rng) for _ in range(n))
         assert outs[2] == 0  # never across the negative edge
         assert abs(outs[1] / n - 0.25) < 0.02
         assert o.query_count == n  # exactly one query per step
@@ -94,25 +94,25 @@ class TestGPrimeWalkStep:
         g = _ppm_triangle(d=2)
         o = _oracle(g)
         rng = np.random.default_rng(3)
-        outs = Counter(_gprime_step(o, subdivision(0, 1), rng) for _ in range(2000))
-        assert set(outs) == {original(0), original(1)}
-        assert abs(outs[original(0)] / 2000 - 0.5) < 0.05
+        outs = Counter(_gprime_step(o, midpoint(3, 0, 1), rng) for _ in range(2000))
+        assert set(outs) == {0, 1}
+        assert abs(outs[0] / 2000 - 0.5) < 0.05
 
     def test_single_negative_edge_rate(self):
         g = make_graph(2, [(0, 1, Sign.MINUS)], d=3)
         o = _oracle(g)
         rng = np.random.default_rng(4)
         n = 100_000
-        moved = sum(_gprime_step(o, original(0), rng) == original(1) for _ in range(n))
+        moved = sum(_gprime_step(o, 0, rng) == 1 for _ in range(n))
         assert abs(moved / n - 1 / 3) < 0.02
 
     def test_positive_edge_enters_subdivision(self):
         g = make_graph(2, [(0, 1, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(5)
-        outs = {_gprime_step(o, original(0), rng) for _ in range(100)}
-        assert outs <= {original(0), subdivision(0, 1)}
-        assert subdivision(0, 1) in outs
+        outs = {_gprime_step(o, 0, rng) for _ in range(100)}
+        assert outs <= {0, midpoint(2, 0, 1)}
+        assert midpoint(2, 0, 1) in outs
 
     def test_transition_matrix_matches_explicit_gprime(self):
         # mixed 5-node graph; compare empirical rows to the lazy-walk matrix
@@ -148,7 +148,7 @@ class TestGPrimeWalkStep:
         g = _ppm_triangle(d=2)
         o = _oracle(g)
         rng = np.random.default_rng(7)
-        x = original(0)
+        x = 0
         occ = Counter()
         for _ in range(10_000):
             x = _gprime_step(o, x, rng)
@@ -173,8 +173,8 @@ class TestSampleGPrimeNode:
         for _ in range(3000):
             x = bt.sample_gprime_node(o, rng)
             if x is not None:
-                assert x.is_original
-                seen.add(x.u)
+                assert x < 10
+                seen.add(x)
         assert len(seen) == 10
 
     @pytest.mark.parametrize(
@@ -209,29 +209,27 @@ class TestSampleGPrimeNode:
 
 class TestOddCycleExtraction:
     def test_already_simple(self):
-        walk = [original(0), original(1), original(2), original(0)]
+        walk = [0, 1, 2, 0]
         cyc = bt._extract_odd_cycle(walk)
-        assert cyc == [original(0), original(1), original(2)]
+        assert cyc == [0, 1, 2]
 
     def test_strips_even_detour(self):
         # 0-1-2-1-... detour (even) collapses away, leaving the odd core
-        a, b, c, e = original(0), original(1), original(2), original(3)
+        a, b, c, e = 0, 1, 2, 3
         walk = [a, b, e, b, c, a]  # edges: a-b, b-e, e-b, b-c, c-a (5 edges, odd)
         cyc = bt._extract_odd_cycle(walk)
         assert cyc == [a, b, c]
 
     def test_contract_five_cycle_to_triangle(self):
-        cyc = [original(0), subdivision(0, 1), original(1),
-               subdivision(1, 2), original(2)]
-        w = bt._contract_to_g_cycle(cyc)
+        cyc = [0, midpoint(3, 0, 1), 1, midpoint(3, 1, 2), 2]
+        w = bt._contract_to_g_cycle(cyc, 3)
         assert w.nodes == (0, 1, 2)
         assert w.signs == (Sign.PLUS, Sign.PLUS, Sign.MINUS)
         assert exact.verify_witness(_ppm_triangle(), w) is None
 
     def test_contract_rotates_subdivision_start(self):
-        cyc = [subdivision(0, 1), original(1), subdivision(1, 2),
-               original(2), original(0)]
-        w = bt._contract_to_g_cycle(cyc)
+        cyc = [midpoint(3, 0, 1), 1, midpoint(3, 1, 2), 2, 0]
+        w = bt._contract_to_g_cycle(cyc, 3)
         assert sorted(w.nodes) == [0, 1, 2]
         assert exact.verify_witness(_ppm_triangle(), w) is None
 
@@ -306,16 +304,32 @@ class TestBadCycleSearch:
         assert w is None and o.query_count == 10**6 + 3 * 2
         assert peak < 2**20
 
+    def test_parity_search_uses_bounded_memory(self, monkeypatch):
+        # 10^6 moves on the balanced 4-cycle: one first-arrival parent per
+        # (node, parity) state, not one record per move
+        o = _oracle(make_graph(4, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS),
+                                   (2, 3, Sign.PLUS), (0, 3, Sign.PLUS)], d=2))
+        monkeypatch.setattr(bt, "_draw_start", lambda o, rng: 0)
+        p = bt.WalkParams(starts=1, walks_per_start=1000, walk_length=1000)
+        tracemalloc.start()
+        try:
+            w = bt._parity_search(o, p, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is None and o.query_count > 0
+        assert peak < 4 * 2**20
+
     def test_walks_step_through_the_shared_core(self, monkeypatch):
         # a core that never moves: the walks then cost no query of their own,
         # and only the start node's row is probed (deg 1 < d, so 2 queries)
         calls = []
         monkeypatch.setattr(bt, "_lazy_step",
-                            lambda o, v, slot, restrict: calls.append(restrict) or v)
+                            lambda o, v, slot: calls.append(v) or v)
         o = _oracle(make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.MINUS)], d=2))
         m, L = 7, 5
         assert bt.badcycle_search(o, 0, m, L, np.random.default_rng(0)) is None
-        assert calls == [True] * (m * L)
+        assert calls == [0] * (m * L)
         assert o.query_count == 2
 
     def test_exactly_one_negative_edge_in_witness(self):

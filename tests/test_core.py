@@ -18,9 +18,8 @@ from signedtest.core import (
     WitnessKind,
     dumps_edge_list,
     load_edge_list,
-    original,
+    midpoint,
     save_edge_list,
-    subdivision,
     validate,
     zaslavsky_transform,
 )
@@ -234,9 +233,9 @@ class TestZaslavskyTransform:
         g = make_graph(3, [(1, 2, "+"), (0, 1, "+"), (0, 2, "-")])
         gp, prov = zaslavsky_transform(g)
         assert gp.n == 5
-        assert prov[:3] == (original(0), original(1), original(2))
-        assert prov[3] == subdivision(0, 1)  # sorted: (0,1) before (1,2)
-        assert prov[4] == subdivision(1, 2)
+        assert prov[:3] == (0, 1, 2)
+        assert prov[3] == midpoint(3, 0, 1)  # sorted: (0,1) before (1,2)
+        assert prov[4] == midpoint(3, 1, 2)
         assert sorted(gp.adj[3]) == [0, 1]
         assert sorted(gp.adj[0]) == [2, 3]
 
@@ -281,7 +280,7 @@ class TestZaslavskyTransform:
             pos = g.num_positive_edges
             assert gp.n == g.n + pos
             assert gp.num_edges() == g.num_edges + pos
-            assert sum(1 for p in prov if not p.is_original) == pos
+            assert sum(1 for p in prov if p >= g.n) == pos
 
 
 class TestWitnessAndClustering:
@@ -315,7 +314,7 @@ def _assert_adjacency_untracked(g: SignedGraph) -> None:
     gc.collect()
     tracked = [(v, pair) for v, row in enumerate(g.adj) for pair in row if gc.is_tracked(pair)]
     assert not tracked, tracked[:3]
-    assert all(type(s) is int for row in g.adj for _, s in row)
+    assert all(type(v) is int and type(s) is int for row in g.adj for v, s in row)
 
 
 class TestAdjacencyNotTracked:

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import io
 import itertools
+from collections import Counter
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedtest.core import Sign, SignedGraph, dumps_edge_list, load_edge_list
+from signedtest import bounded_testers as bt
+from signedtest.core import Sign, SignedGraph, WitnessKind, dumps_edge_list, load_edge_list
 from signedtest.exact import is_balanced, is_clusterable
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
@@ -29,10 +31,10 @@ def _stored(s) -> int:
 
 
 @st.composite
-def edge_lists(draw):
+def edge_lists(draw, min_nodes=1):
     """(n, edges): distinct pairs in random order and orientation, each with
     a sign written in one of the accepted forms."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(min_nodes, 10))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     edges = []
@@ -82,10 +84,8 @@ def test_oracles_return_the_input_signs_in_insertion_order(case):
         assert dense.query(u, w) is None or type(dense.query(u, w)) is int
 
 
-@FUZZ
-@given(edge_lists())
-def test_balance_matches_bipartite_subdivision(case):
-    n, edges = case
+def _subdivision_is_bipartite(n, edges) -> bool:
+    """networkx bipartiteness of the graph with every positive edge subdivided."""
     sub = nx.Graph()
     sub.add_nodes_from(range(n))
     for u, v, s in edges:
@@ -93,16 +93,71 @@ def test_balance_matches_bipartite_subdivision(case):
             sub.add_edges_from([(u, ("mid", u, v)), (("mid", u, v), v)])
         else:
             sub.add_edge(u, v)
-    assert is_balanced(SignedGraph.from_edges(n, edges)).balanced == nx.is_bipartite(sub)
+    return nx.is_bipartite(sub)
+
+
+def _no_negative_edge_inside_a_positive_component(n, edges) -> bool:
+    pos = nx.Graph()
+    pos.add_nodes_from(range(n))
+    pos.add_edges_from((u, v) for u, v, s in edges if _stored(s) == Sign.PLUS)
+    comp = {v: i for i, c in enumerate(nx.connected_components(pos)) for v in c}
+    return all(comp[u] != comp[v] for u, v, s in edges if _stored(s) == Sign.MINUS)
+
+
+@FUZZ
+@given(edge_lists())
+def test_balance_matches_bipartite_subdivision(case):
+    n, edges = case
+    want = _subdivision_is_bipartite(n, edges)
+    assert is_balanced(SignedGraph.from_edges(n, edges)).balanced == want
 
 
 @FUZZ
 @given(edge_lists())
 def test_clusterable_iff_no_negative_edge_inside_a_positive_component(case):
     n, edges = case
-    pos = nx.Graph()
-    pos.add_nodes_from(range(n))
-    pos.add_edges_from((u, v) for u, v, s in edges if _stored(s) == Sign.PLUS)
-    comp = {v: i for i, c in enumerate(nx.connected_components(pos)) for v in c}
-    want = all(comp[u] != comp[v] for u, v, s in edges if _stored(s) == Sign.MINUS)
+    want = _no_negative_edge_inside_a_positive_component(n, edges)
     assert is_clusterable(SignedGraph.from_edges(n, edges)).clusterable == want
+
+
+# short walks, few of them: small graphs then reject often on the walk path
+WALKS_ONLY = bt.BoundedConstants(allow_exact_fallback=False, c1=1.0, c2=2e-2, c3=5e-2,
+                                 c4=2.0, c5=2.0, c6=4.0, walk_len_log_exponent=0)
+
+
+def _assert_cycle_in(edges, w, negatives_ok) -> None:
+    """w is a simple cycle of the drawn edge list, with its signs as drawn."""
+    sign = {}
+    for u, v, s in edges:
+        sign[u, v] = sign[v, u] = _stored(s)
+    assert len(w.nodes) >= 3 and len(set(w.nodes)) == len(w.nodes)
+    assert [sign.get((u, v)) for u, v, _ in w.edge_pairs()] == list(w.signs)
+    assert negatives_ok(sum(w.signs))
+
+
+def test_walk_testers_are_one_sided_and_their_witnesses_hold():
+    rejects = Counter()
+
+    @FUZZ
+    @given(edge_lists(min_nodes=2), st.integers(0, 2**32 - 1))
+    def check(case, seed):
+        n, edges = case
+        d = max([2] + [len(r) for r in _rows(n, edges)])
+        g = SignedGraph.from_edges(n, edges, degree_bound=d)
+        bal = bt.test_balance_bounded(BoundedDegreeOracle(g), 0.9, seed, WALKS_ONLY)
+        clu = bt.test_clusterability_bounded(BoundedDegreeOracle(g), 0.9, seed, WALKS_ONLY)
+        assert not bal.exact_fallback and not clu.exact_fallback
+        if not bal.accept:
+            assert not _subdivision_is_bipartite(n, edges)
+            assert bal.witness.kind is WitnessKind.ODD_NEGATIVE_CYCLE
+            _assert_cycle_in(edges, bal.witness, lambda k: k % 2 == 1)
+            rejects["balance"] += 1
+        if not clu.accept:
+            assert not _no_negative_edge_inside_a_positive_component(n, edges)
+            assert clu.witness.kind is WitnessKind.BAD_CYCLE
+            _assert_cycle_in(edges, clu.witness, lambda k: k == 1)
+            rejects["clusterability"] += 1
+
+    check()
+    # the witness checks above ran on both testers
+    assert rejects["balance"] > 0 and rejects["clusterability"] > 0
