@@ -10,8 +10,10 @@ is ``core.midpoint`` N + u*N + v), and both walking and start-node sampling
 are implemented purely through oracle queries.
 
 The clusterability tester searches for a "bad cycle" (exactly one negative
-edge): it walks on the positive subgraph only, collects the visited set, and
-probes all neighborhoods for a negative edge inside it.
+edge): it walks on the positive subgraph only, reads each node's row at its
+first visit, and stops at the first negative edge into the visited set.
+
+Both walk searches draw a start's randomness for all its walks in chunks.
 
 All three testers here are one-sided; every Reject carries a verifiable
 witness. When eps >= 1 or the walk budget would exceed the N*d cost of just
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import exact
 from .core import Sign, SignedGraph, Witness, WitnessKind, midpoint
-from .oracles import BoundedDegreeOracle, Verdict, _as_rng, _chunked_integers
+from .oracles import BoundedDegreeOracle, Verdict, _as_rng, _chunked_draws, _chunked_integers
 
 C_TRIANGLE_BD = 10.0
 
@@ -321,11 +324,11 @@ def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None
     # state of its first arrival, and both parities at one node prove an
     # odd cycle
     parent: dict[int, int | None] = {2 * s: None}
+    steps = p.walks_per_start * p.walk_length
+    draws = zip(_chunked_integers(rng, 1, o.d + 1, steps), _chunked_draws(rng.random, steps))
     for _ in range(p.walks_per_start):
-        slots = rng.integers(1, o.d + 1, size=p.walk_length).tolist()
-        coins = rng.random(p.walk_length).tolist()
         x, state = s, 2 * s
-        for slot, coin in zip(slots, coins):
+        for slot, coin in islice(draws, p.walk_length):
             nxt = _gprime_step(o, x, slot, coin)
             if nxt == x:
                 continue
@@ -376,25 +379,31 @@ def clusterability_budget(p: WalkParams, d: int) -> int:
 
 
 def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) -> Witness | None:
-    """Walk the positive subgraph from s, then probe every visited node's
-    neighborhood for a negative edge inside the visited set; splicing its
-    endpoints' tree paths yields a cycle with exactly one negative edge."""
-    parent: dict[int, int | None] = {s: None}
-    for _ in range(m):
-        x = s
-        for slot in _chunked_integers(rng, 1, o.d + 1, length):
-            v = _lazy_step(o, x, slot)
-            if v not in parent:
-                parent[v] = x
-            x = v
-    for u in sorted(parent):
-        for v, sign in o.neighbors(u):
-            if sign and v in parent:  # a negative edge inside the visited set
-                # nodes = u -> lca -> v through positive tree edges; the
-                # closing (v, u) edge is the single negative one
-                nodes = _splice_tree_paths(parent, u, v)
+    """Walk the positive subgraph from s, reading each node's row at its first
+    visit, s's first. A negative edge to a node visited before stops the search:
+    splicing its endpoints' tree paths yields a cycle with one negative edge."""
+    parent: dict[int, int | None] = {}
+
+    def visit(v: int, via: int | None) -> Witness | None:
+        parent[v] = via
+        for u, sign in o.neighbors(v):
+            if sign and u in parent:  # a negative edge inside the visited set
+                # nodes = v -> lca -> u through positive tree edges; the
+                # closing (u, v) edge is the single negative one
+                nodes = _splice_tree_paths(parent, v, u)
                 signs = [Sign.PLUS] * (len(nodes) - 1) + [Sign.MINUS]
                 return Witness(WitnessKind.BAD_CYCLE, tuple(nodes), tuple(signs))
+        return None
+
+    visit(s, None)  # nothing else is visited yet, so this only reads s's row
+    slots = _chunked_integers(rng, 1, o.d + 1, m * length)
+    for _ in range(m):
+        x = s
+        for slot in islice(slots, length):
+            v = _lazy_step(o, x, slot)
+            if v not in parent and (w := visit(v, x)) is not None:
+                return w
+            x = v
     return None
 
 

@@ -13,6 +13,7 @@ The testers of both models also share the seeded randomness and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -129,15 +130,19 @@ def _as_rng(seed) -> np.random.Generator:
     return RandomSource(int(seed)).generator()
 
 
-_CHUNK = 4096  # rows per draw in _chunked_integers
+_CHUNK = 4096  # rows per draw in _chunked_draws
 
 
-def _chunked_integers(rng, low: int, high: int, rows: int, *shape: int) -> Iterator:
-    """The rows of rng.integers(low, high, size=(rows, *shape)) as Python
+def _chunked_draws(draw, rows: int, *shape: int) -> Iterator:
+    """The rows of draw(size=(rows, *shape)), say draw = rng.random, as Python
     values, drawn _CHUNK rows at a time so memory stays bounded. The chunks
     concatenate to that one draw and leave the stream where it would."""
     for lo in range(0, rows, _CHUNK):
-        yield from rng.integers(low, high, size=(min(_CHUNK, rows - lo), *shape)).tolist()
+        yield from draw(size=(min(_CHUNK, rows - lo), *shape)).tolist()
+
+
+def _chunked_integers(rng, low: int, high: int, rows: int, *shape: int) -> Iterator:
+    return _chunked_draws(partial(rng.integers, low, high), rows, *shape)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -15,6 +16,7 @@ from signedtest import exact
 from signedtest.core import (
     Sign,
     SignedGraph,
+    Witness,
     WitnessKind,
     midpoint,
     zaslavsky_transform,
@@ -24,10 +26,11 @@ from signedtest.generators import (
     BALANCED_TWO_SIDE,
     CLUSTERABLE_COMMUNITIES,
     DISJOINT_BAD_TRIANGLES,
+    FAMILIES,
     GenSpec,
     generate,
 )
-from signedtest.oracles import BoundedDegreeOracle
+from signedtest.oracles import BoundedDegreeOracle, _chunked_draws, _chunked_integers
 
 from conftest import all_signed_graphs, make_graph, triangle
 
@@ -234,6 +237,43 @@ class TestOddCycleExtraction:
         assert exact.verify_witness(_ppm_triangle(), w) is None
 
 
+def _badcycle_search_probing_after_walking(o, s, m, length, rng):
+    """Reference bad-cycle search: every walk draws its own slots and runs
+    to its end, then every visited row is read in sorted node order."""
+    parent = {s: None}
+    for _ in range(m):
+        x = s
+        for slot in rng.integers(1, o.d + 1, size=length).tolist():
+            v = bt._lazy_step(o, x, slot)
+            if v not in parent:
+                parent[v] = x
+            x = v
+    for u in sorted(parent):
+        for v, sign in o.neighbors(u):
+            if sign and v in parent:
+                nodes = bt._splice_tree_paths(parent, u, v)
+                signs = [Sign.PLUS] * (len(nodes) - 1) + [Sign.MINUS]
+                return Witness(WitnessKind.BAD_CYCLE, tuple(nodes), tuple(signs))
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("m, length", [(1, 4097), (455, 9), (3, 1), (1000, 13)])
+def test_chunked_walk_draws_equal_per_walk_draws(d, m, length):
+    # after a scalar start draw, as in the testers: m walks of `length`
+    # steps read from one chunked stream equal m per-walk draws, slots
+    # (buffered 32-bit draws) and coins alike, and leave the stream alike
+    per_walk, chunked = np.random.default_rng(7), np.random.default_rng(7)
+    assert per_walk.integers(50_000) == chunked.integers(50_000)
+    slots = _chunked_integers(chunked, 1, d + 1, m * length)
+    assert ([list(itertools.islice(slots, length)) for _ in range(m)]
+            == [per_walk.integers(1, d + 1, size=length).tolist() for _ in range(m)])
+    coins = _chunked_draws(chunked.random, m * length)
+    assert ([list(itertools.islice(coins, length)) for _ in range(m)]
+            == [per_walk.random(length).tolist() for _ in range(m)])
+    assert per_walk.integers(50_000) == chunked.integers(50_000)
+
+
 class TestBadCycleSearch:
     def test_clusterable_never_finds(self):
         for seed in range(5):
@@ -304,21 +344,64 @@ class TestBadCycleSearch:
         assert w is None and o.query_count == 10**6 + 3 * 2
         assert peak < 2**20
 
-    def test_parity_search_uses_bounded_memory(self, monkeypatch):
-        # 10^6 moves on the balanced 4-cycle: one first-arrival parent per
-        # (node, parity) state, not one record per move
+    @staticmethod
+    def _parity_walks_on_positive_four_cycle(monkeypatch, walks, length):
+        """(witness, queries, tracemalloc peak) of one balance-search start
+        at node 0 of the balanced 4-cycle with d = 2."""
         o = _oracle(make_graph(4, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS),
                                    (2, 3, Sign.PLUS), (0, 3, Sign.PLUS)], d=2))
         monkeypatch.setattr(bt, "_draw_start", lambda o, rng: 0)
-        p = bt.WalkParams(starts=1, walks_per_start=1000, walk_length=1000)
+        p = bt.WalkParams(starts=1, walks_per_start=walks, walk_length=length)
         tracemalloc.start()
         try:
             w = bt._parity_search(o, p, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert w is None and o.query_count > 0
+        return w, o.query_count, peak
+
+    def test_parity_search_uses_bounded_memory(self, monkeypatch):
+        # 10^6 moves on the balanced 4-cycle: one first-arrival parent per
+        # (node, parity) state, not one record per move
+        w, queries, peak = self._parity_walks_on_positive_four_cycle(monkeypatch, 1000, 1000)
+        assert w is None and queries > 0
         assert peak < 4 * 2**20
+
+    def test_one_long_parity_walk_uses_bounded_memory(self, monkeypatch):
+        # drawing a walk's 10^6 slots and coins before its first step peaks
+        # near 46 MB
+        w, queries, peak = self._parity_walks_on_positive_four_cycle(monkeypatch, 1, 10**6)
+        assert w is None and queries > 0
+        assert peak < 2 * 2**20
+
+    def test_reject_stops_at_the_first_negative_edge_inside_the_visited_set(self):
+        # walking all m*L = 10^4 steps before probing would spend more than
+        # 10^4 queries; the triangle's negative edge shows within a few steps
+        g = _ppm_triangle(d=2)
+        o = _oracle(g)
+        m, L = 100, 100
+        w = bt.badcycle_search(o, 0, m, L, np.random.default_rng(0))
+        assert w is not None and exact.verify_witness(g, w) is None
+        assert o.query_count < m * L
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_early_exit_keeps_every_decision_and_every_accept_cost(self, family, monkeypatch):
+        # against the search that walks all m*L steps and then probes the
+        # visited rows in sorted order: each row is still read at most once,
+        # so accepts cost the same; rejects stop early with another valid
+        # witness
+        for n in (300, 3000):
+            g, _ = generate(GenSpec(family, n, d=None if family == DISJOINT_BAD_TRIANGLES else 4))
+            for eps, sd in itertools.product((0.9, 0.5), range(8)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(bt, "badcycle_search", _badcycle_search_probing_after_walking)
+                    want = bt.test_clusterability_bounded(_oracle(g), eps, sd, constants=WALK_CLU)
+                got = bt.test_clusterability_bounded(_oracle(g), eps, sd, constants=WALK_CLU)
+                assert got.accept == want.accept and not got.exact_fallback
+                if got.accept:
+                    assert got.queries_used == want.queries_used
+                else:
+                    assert exact.verify_witness(g, got.witness) is None
 
     def test_walks_step_through_the_shared_core(self, monkeypatch):
         # a core that never moves: the walks then cost no query of their own,

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedtest import bounded_testers as bt
+from signedtest import dense_testers as dt
 from signedtest.core import Sign, SignedGraph, WitnessKind, dumps_edge_list, load_edge_list
 from signedtest.exact import is_balanced, is_clusterable
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle
@@ -161,3 +162,49 @@ def test_walk_testers_are_one_sided_and_their_witnesses_hold():
     check()
     # the witness checks above ran on both testers
     assert rejects["balance"] > 0 and rejects["clusterability"] > 0
+
+
+def _has_triangle(n, edges, pattern) -> bool:
+    """A triangle of the drawn edge list with the pattern's sign multiset."""
+    sign = {}
+    for u, v, s in edges:
+        sign[u, v] = sign[v, u] = _stored(s)
+    want = sorted("+-".index(c) for c in pattern)
+    return any(sorted((sign.get((a, b)), sign.get((b, c)), sign.get((a, c)))) == want
+               for a, b, c in itertools.combinations(range(n), 3)
+               if (a, b) in sign and (b, c) in sign and (a, c) in sign)
+
+
+def test_triangle_and_dense_balance_testers_are_one_sided_and_their_witnesses_hold():
+    rejects = Counter()
+
+    @FUZZ
+    @given(edge_lists(min_nodes=3), st.sampled_from(["+++", "++-", "+--", "---"]),
+           st.integers(0, 2**32 - 1))
+    def check(case, pattern, seed):
+        n, edges = case
+        d = max([2] + [len(r) for r in _rows(n, edges)])
+        dense = SignedGraph.from_edges(n, edges)
+        triangles = {
+            "dense triangle": dt.test_triangle_dense(DenseOracle(dense), pattern,
+                                                     dt.DenseParams(eps=0.9, seed=seed)),
+            "bounded triangle": bt.test_triangle_bounded(
+                BoundedDegreeOracle(SignedGraph.from_edges(n, edges, degree_bound=d)),
+                pattern, 0.9, seed),
+        }
+        for name, v in triangles.items():
+            if not v.accept:
+                assert _has_triangle(n, edges, pattern)
+                assert v.witness.kind is WitnessKind.SIGNED_TRIANGLE
+                _assert_cycle_in(edges, v.witness, lambda k: k == pattern.count("-"))
+                rejects[name] += 1
+        bal = dt.test_balance_dense(DenseOracle(dense), 0.9, seed)
+        if not bal.accept:
+            assert not _subdivision_is_bipartite(n, edges)
+            assert bal.witness.kind is WitnessKind.ODD_NEGATIVE_CYCLE
+            _assert_cycle_in(edges, bal.witness, lambda k: k % 2 == 1)
+            rejects["dense balance"] += 1
+
+    check()
+    # the witness checks above ran on all three testers
+    assert min(rejects[k] for k in ("dense triangle", "bounded triangle", "dense balance")) > 0
