@@ -181,23 +181,6 @@ def _contract_to_g_cycle(cyc: list[int], n: int) -> Witness:
     return Witness(WitnessKind.ODD_NEGATIVE_CYCLE, tuple(nodes), tuple(signs))
 
 
-def _tree_path_to_root(parent: dict[int, int | None], v: int) -> list[int]:
-    path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _splice_tree_paths(parent: dict[int, int | None], u: int, v: int) -> list[int]:
-    """Cycle u -> ... -> lca -> ... -> v through the tree, closed by (v,u)."""
-    pu = _tree_path_to_root(parent, u)
-    pv = _tree_path_to_root(parent, v)
-    on_pu = {node: idx for idx, node in enumerate(pu)}
-    lca_idx_v = next(i for i, node in enumerate(pv) if node in on_pu)
-    lca_idx_u = on_pu[pv[lca_idx_v]]
-    return pu[: lca_idx_u + 1] + list(reversed(pv[:lca_idx_v]))
-
-
 # ---------------------------------------------------------------------------
 # whole-graph fallback and the walk-tester frame
 # ---------------------------------------------------------------------------
@@ -337,7 +320,8 @@ def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None
             parent.setdefault(state, prev)
             if state ^ 1 in parent:
                 # the tree path between x's two states is a closed odd walk
-                closed = [t >> 1 for t in _splice_tree_paths(parent, state, state ^ 1)]
+                up, down = exact.forest_paths(parent, state, state ^ 1)
+                closed = [t >> 1 for t in up + down[::-1]]
                 return _contract_to_g_cycle(_extract_odd_cycle(closed), o.n)
     return None
 
@@ -348,9 +332,10 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
 
     Testing eps-balancedness of G reduces to testing eps/(d+1)-bipartiteness
     of G2. Parity counts actual moves (lazy self-loops leave path length
-    unchanged). A (node, parity) collision splices the two first-arrival
-    paths into a closed odd walk, which is reduced to a simple odd G2 cycle
-    and contracted to a G cycle with an odd number of negative edges.
+    unchanged). A (node, parity) collision joins the two first-arrival
+    paths at their common ancestor (``exact.forest_paths``) into a closed odd
+    walk, which is reduced to a simple odd G2 cycle and contracted to a G
+    cycle with an odd number of negative edges.
     """
     return _walk_tester(
         o, eps, seed, constants, balance_walk_schedule, balance_budget,
@@ -381,7 +366,8 @@ def clusterability_budget(p: WalkParams, d: int) -> int:
 def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) -> Witness | None:
     """Walk the positive subgraph from s, reading each node's row at its first
     visit, s's first. A negative edge to a node visited before stops the search:
-    splicing its endpoints' tree paths yields a cycle with one negative edge."""
+    its endpoints' walk-forest paths to their common ancestor
+    (``exact.forest_paths``) close a cycle with one negative edge."""
     parent: dict[int, int | None] = {}
 
     def visit(v: int, via: int | None) -> Witness | None:
@@ -390,7 +376,8 @@ def badcycle_search(o: BoundedDegreeOracle, s: int, m: int, length: int, rng) ->
             if sign and u in parent:  # a negative edge inside the visited set
                 # nodes = v -> lca -> u through positive tree edges; the
                 # closing (u, v) edge is the single negative one
-                nodes = _splice_tree_paths(parent, v, u)
+                up, down = exact.forest_paths(parent, v, u)
+                nodes = up + down[::-1]
                 signs = [Sign.PLUS] * (len(nodes) - 1) + [Sign.MINUS]
                 return Witness(WitnessKind.BAD_CYCLE, tuple(nodes), tuple(signs))
         return None

@@ -103,12 +103,12 @@ class SignedGraph:
         return cls(n, tuple(tuple(l) for l in lists), degree_bound)
 
     @cached_property
-    def _sign_map(self) -> dict[tuple[int, int], int]:
-        return {(u, v): s for u in range(self.n) for v, s in self.adj[u]}
+    def _sign_map(self) -> tuple[dict[int, int], ...]:  # [u][v] -> sign of (u, v)
+        return tuple(map(dict, self.adj))
 
     def sign_of(self, u: int, v: int) -> int | None:
         """Sign of edge (u,v), or None if absent."""
-        return self._sign_map.get((u, v))
+        return self._sign_map[u].get(v) if 0 <= u < self.n else None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -4,6 +4,10 @@ These run in time polynomial (checkers) or exponential (distances) in the
 graph size and serve as ground truth for the sublinear testers: balance,
 clusterability, signed-triangle search, frustration indices, the small-cluster
 merge step, and witness verification.
+
+Balance and clusterability share one BFS forest. A violating edge (u, v)
+closes the witness through ``forest_paths``, which the walk testers use too:
+the cycle runs from the lowest common ancestor down to u, across to v, and up.
 """
 
 from __future__ import annotations
@@ -45,69 +49,65 @@ class BalanceResult:
     witness: Witness | None = None           # odd-negative cycle otherwise
 
 
-def _splice_cycle(
-    parent: list[tuple[int, int] | None],
-    depth: list[int],
-    u: int,
-    v: int,
-    closing: int,
-    kind: WitnessKind,
-) -> Witness:
-    """Close the non-tree edge (u, v) through the BFS-tree paths to their
-    lowest common ancestor, producing a simple cycle witness."""
-    path_u: list[tuple[int, int | None]] = [(u, None)]
-    path_v: list[tuple[int, int | None]] = [(v, None)]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        p, s = parent[a]  # type: ignore[misc]
-        path_u.append((p, s))
-        a = p
-    while depth[b] > depth[a]:
-        p, s = parent[b]  # type: ignore[misc]
-        path_v.append((p, s))
-        b = p
-    while a != b:
-        p, s = parent[a]  # type: ignore[misc]
-        path_u.append((p, s))
-        a = p
-        p, s = parent[b]  # type: ignore[misc]
-        path_v.append((p, s))
-        b = p
-    # path_u = [(u,·), ..., (lca, sign-into-lca)]; same for path_v
-    nodes = [x for x, _ in reversed(path_u)]          # lca ... u
-    signs = [s for _, s in reversed(path_u[1:])]      # tree signs lca -> u
-    signs.append(closing)                             # edge (u, v)
-    nodes.extend(x for x, _ in path_v[:-1])           # v ... child of lca
-    signs.extend(s for _, s in path_v[1:])            # tree signs v -> lca
-    return Witness(kind, tuple(nodes), tuple(signs))  # type: ignore[arg-type]
+def forest_paths(parent, u: int, v: int) -> tuple[list[int], list[int]]:
+    """In a forest of parent links (list or dict, roots mapped to None) that
+    holds u and v in one tree: the path from u up to their lowest common
+    ancestor, that ancestor included, and the path from v up to its child."""
+    up_u = [u]
+    while (p := parent[up_u[-1]]) is not None:
+        up_u.append(p)
+    on_u = {x: i for i, x in enumerate(up_u)}
+    up_v = []
+    while v not in on_u:
+        up_v.append(v)
+        v = parent[v]
+    return up_u[: on_u[v] + 1], up_v
 
 
-def is_balanced(g: SignedGraph) -> BalanceResult:
-    """BFS 2-labeling: positive edges keep the label, negative edges flip it.
-
-    A conflicting non-tree edge closes an odd-negative cycle through the tree.
-    """
+def _bfs(g: SignedGraph, follow_negative: bool):
+    """BFS forest over every edge, or the positive ones only: (parent, label,
+    conflict). parent[v] is None at a root; label[v] = 2*root + parity, the
+    parity flipped by negative edges. conflict is the first followed edge whose
+    labels disagree (never on the positive-only forest), else None."""
+    parent: list[int | None] = [None] * g.n
     label = [-1] * g.n
-    depth = [0] * g.n
-    parent: list[tuple[int, int] | None] = [None] * g.n
     for root in range(g.n):
         if label[root] != -1:
             continue
-        label[root] = 0
+        label[root] = 2 * root
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for v, s in g.adj[u]:
-                want = label[u] ^ s  # minus (1) flips the label
+                if s and not follow_negative:
+                    continue
+                want = label[u] ^ s  # minus (1) flips the parity
                 if label[v] == -1:
                     label[v] = want
-                    parent[v] = (u, s)
-                    depth[v] = depth[u] + 1
+                    parent[v] = u
                     queue.append(v)
                 elif label[v] != want:
-                    w = _splice_cycle(parent, depth, u, v, s, WitnessKind.ODD_NEGATIVE_CYCLE)
-                    return BalanceResult(False, None, w)
-    return BalanceResult(True, tuple(label), None)
+                    return parent, label, (u, v)
+    return parent, label, None
+
+
+def _cycle_witness(g: SignedGraph, parent: list, u: int, v: int, kind: WitnessKind) -> Witness:
+    """Close the non-tree edge (u, v) through the BFS forest: from the lowest
+    common ancestor down to u, across to v, and back up."""
+    up_u, up_v = forest_paths(parent, u, v)
+    nodes = up_u[::-1] + up_v
+    signs = [_row_sign(g, a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    return Witness(kind, tuple(nodes), tuple(signs))  # type: ignore[arg-type]
+
+
+def is_balanced(g: SignedGraph) -> BalanceResult:
+    """BFS 2-labeling: positive edges keep the label, negative edges flip it;
+    the first conflicting edge closes an odd-negative cycle through the tree."""
+    parent, label, conflict = _bfs(g, follow_negative=True)
+    if conflict is not None:
+        w = _cycle_witness(g, parent, *conflict, WitnessKind.ODD_NEGATIVE_CYCLE)
+        return BalanceResult(False, None, w)
+    return BalanceResult(True, tuple(x & 1 for x in label), None)
 
 
 # ---------------------------------------------------------------------------
@@ -122,46 +122,22 @@ class ClusterabilityResult:
     witness: Witness | None = None           # bad cycle otherwise
 
 
-def _positive_bfs(g: SignedGraph):
-    """BFS forest of the positive subgraph: (component id per node, in
-    discovery order; component count; tree parent; tree depth)."""
-    comp = [-1] * g.n
-    depth = [0] * g.n
-    parent: list[tuple[int, int] | None] = [None] * g.n
-    cid = 0
-    for root in range(g.n):
-        if comp[root] != -1:
-            continue
-        comp[root] = cid
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adj[u]:
-                if s == Sign.PLUS and comp[v] == -1:
-                    comp[v] = cid
-                    parent[v] = (u, s)
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
-        cid += 1
-    return comp, cid, parent, depth
-
-
 def positive_component_clustering(g: SignedGraph) -> Clustering:
     """Connected components of the positive subgraph, ids in discovery order."""
-    comp, k, _, _ = _positive_bfs(g)
-    return Clustering(tuple(comp), k)
+    return Clustering.from_labels(_bfs(g, follow_negative=False)[1])
 
 
 def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
     """A graph is clusterable iff no negative edge joins two nodes of the same
-    positive component; a violating edge closes a cycle with exactly one
-    negative edge through the positive BFS tree."""
-    comp, k, parent, depth = _positive_bfs(g)
-    for u, v, s in g.edges():
-        if s == Sign.MINUS and comp[u] == comp[v]:
-            w = _splice_cycle(parent, depth, u, v, s, WitnessKind.BAD_CYCLE)
-            return ClusterabilityResult(False, None, w)
-    return ClusterabilityResult(True, Clustering(tuple(comp), k), None)
+    positive component; the smallest violating edge closes a cycle with
+    exactly one negative edge through the positive BFS forest."""
+    parent, label, _ = _bfs(g, follow_negative=False)
+    bad = min(((u, v) for u in range(g.n) for v, s in g.adj[u]
+               if s and u < v and label[u] == label[v]), default=None)
+    if bad is not None:
+        w = _cycle_witness(g, parent, *bad, WitnessKind.BAD_CYCLE)
+        return ClusterabilityResult(False, None, w)
+    return ClusterabilityResult(True, Clustering.from_labels(label), None)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +325,11 @@ def merge_small_clusters(clustering: Clustering, n: int, eps: float) -> Clusteri
 # ---------------------------------------------------------------------------
 
 
+def _row_sign(g: SignedGraph, u: int, v: int) -> int | None:
+    """Sign of edge (u, v) or None, by a scan of u's row (g.sign_of indexes all rows)."""
+    return next((t for x, t in g.adj[u] if x == v), None)
+
+
 def verify_witness(g: SignedGraph, w: Witness) -> str | None:
     """Re-check every invariant of a witness against g. None means valid."""
     k = len(w.nodes)
@@ -361,8 +342,7 @@ def verify_witness(g: SignedGraph, w: Witness) -> str | None:
     for u, v, s in w.edge_pairs():
         if not (0 <= u < g.n and 0 <= v < g.n):
             return f"node out of range on edge ({u},{v})"
-        # a scan of u's row, not g.sign_of: that would build the whole sign map
-        actual = next((t for x, t in g.adj[u] if x == v), None)
+        actual = _row_sign(g, u, v)
         if actual is None:
             return f"missing edge ({u},{v})"
         if actual != s:

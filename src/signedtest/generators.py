@@ -290,6 +290,8 @@ def _gen_planted_matching(spec: GenSpec, rng):
     d = spec.d if spec.d is not None else 8
     k = spec.k if spec.k is not None else 2
     pf = spec.planted_fraction if spec.planted_fraction is not None else 0.05
+    if k < 1 or k > spec.n:
+        raise ValueError("planted-negative-matching needs 1 <= k <= n")
     if d < 4:
         raise ValueError("planted-negative-matching needs d >= 4")
     if not 0 < pf <= 0.5 / d:

@@ -38,25 +38,27 @@ class DenseOracle:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"query ({u},{v}) out of range for n={self.n}")
         self.query_count += 1
-        return self._signs.get((u, v))
+        return self._signs[u].get(v)
 
     def induced(self, nodes) -> SignedGraph:
         """Read every pair among distinct nodes, charged k(k-1)/2 queries, and
-        return the induced graph relabeled to 0..k-1 in the given order."""
+        return the induced graph relabeled to 0..k-1 in the given order, its
+        rows built as from_edges would build them, without its redundant checks."""
         k = len(nodes)
-        if len(set(nodes)) != k:
-            raise ValueError("induced read needs distinct nodes")
-        if k and not (0 <= min(nodes) and max(nodes) < self.n):
+        if k == 0 or len(set(nodes)) != k:
+            raise ValueError("induced read needs one or more distinct nodes")
+        if not (0 <= min(nodes) and max(nodes) < self.n):
             raise ValueError(f"induced read out of range for n={self.n}")
         self.query_count += k * (k - 1) // 2
-        signs = self._signs
-        edges = []
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for i, u in enumerate(nodes):
+            row = self._signs[u]
             for j in range(i + 1, k):
-                s = signs.get((u, nodes[j]))
+                s = row.get(nodes[j])
                 if s is not None:
-                    edges.append((i, j, s))
-        return SignedGraph.from_edges(k, edges)
+                    adj[i].append((j, s))
+                    adj[j].append((i, s))
+        return SignedGraph(k, tuple(map(tuple, adj)))
 
 
 class BoundedDegreeOracle:

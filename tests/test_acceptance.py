@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import time
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
-import pytest
 from scipy.stats import chisquare
 
 from conftest import all_signed_graphs, random_signed_graph

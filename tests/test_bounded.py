@@ -251,7 +251,8 @@ def _badcycle_search_probing_after_walking(o, s, m, length, rng):
     for u in sorted(parent):
         for v, sign in o.neighbors(u):
             if sign and v in parent:
-                nodes = bt._splice_tree_paths(parent, u, v)
+                up, down = exact.forest_paths(parent, u, v)
+                nodes = up + down[::-1]
                 signs = [Sign.PLUS] * (len(nodes) - 1) + [Sign.MINUS]
                 return Witness(WitnessKind.BAD_CYCLE, tuple(nodes), tuple(signs))
     return None

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from signedtest.core import Clustering, Sign, Witness, WitnessKind
+from signedtest.generators import PLANTED_NEGATIVE_MATCHING, GenSpec, generate
 from signedtest.exact import (
     SizeCapError,
+    forest_paths,
     frustration_index,
     has_signed_triangle,
     is_balanced,
@@ -157,6 +159,38 @@ class TestIsClusterable:
         assert not r.clusterable
         assert len(r.witness.nodes) == n
         assert verify_witness(g, r.witness) is None
+
+
+# (graph, is_balanced witness, is_clusterable witness), each witness as
+# (nodes, signs); recorded before the two checkers shared one BFS
+_HAND_BUILT = make_graph(9, [(6, 2, "+"), (0, 4, "+"), (5, 8, "-"), (4, 2, "+"), (2, 5, "+"),
+                             (8, 3, "+"), (3, 6, "+"), (1, 7, "-"), (7, 0, "+")])
+PINNED_WITNESSES = [
+    (_HAND_BUILT, ((2, 6, 3, 8, 5), (0, 0, 0, 1, 0)), ((2, 5, 8, 3, 6), (0, 1, 0, 0, 0))),
+    (generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 40, seed=1, d=4))[0],
+     ((0, 19, 37, 26, 29, 3, 7), (0, 1, 1, 0, 1, 0, 0)),
+     ((0, 7, 3, 4, 6, 18, 17, 13, 19), (0, 0, 0, 1, 0, 0, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("g, balance, cluster", PINNED_WITNESSES)
+def test_exact_witness_order_is_pinned(g, balance, cluster):
+    # a witness runs from the common ancestor down to the closing edge and
+    # back up; the dense balance tester and the bounded fallbacks report it
+    b, c = is_balanced(g).witness, is_clusterable(g).witness
+    assert (b.kind, (b.nodes, b.signs)) == (WitnessKind.ODD_NEGATIVE_CYCLE, balance)
+    assert (c.kind, (c.nodes, c.signs)) == (WitnessKind.BAD_CYCLE, cluster)
+
+
+@pytest.mark.parametrize("as_map", [list, dict.fromkeys])
+def test_forest_paths_meet_at_the_lowest_common_ancestor(as_map):
+    # tree 0 -> 1 -> {2, 3}, 3 -> 4, and a second tree rooted at 5
+    parent = [None, 0, 1, 1, 3, None]
+    parent = parent if as_map is list else dict(enumerate(parent))
+    assert forest_paths(parent, 2, 4) == ([2, 1], [4, 3])
+    assert forest_paths(parent, 4, 0) == ([4, 3, 1, 0], [])
+    assert forest_paths(parent, 0, 4) == ([0], [4, 3, 1])
+    assert forest_paths(parent, 5, 5) == ([5], [])
 
 
 class TestHasSignedTriangle:

@@ -145,6 +145,8 @@ class TestParameterValidation:
             (dict(family=PLANTED_NEGATIVE_MATCHING, n=20, d=3), "d >= 4"),
             (dict(family=PLANTED_NEGATIVE_MATCHING, n=20, d=4, planted_fraction=0.9), "planted_fraction"),
             (dict(family=PLANTED_NEGATIVE_MATCHING, n=20, d=4, planted_fraction=1e-5), "too small"),
+            (dict(family=PLANTED_NEGATIVE_MATCHING, n=100, k=0), "1 <= k <= n"),
+            (dict(family=PLANTED_NEGATIVE_MATCHING, n=100, k=-1), "1 <= k <= n"),
         ],
     )
     def test_bad_parameters_raise(self, spec, msg):

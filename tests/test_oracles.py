@@ -77,7 +77,7 @@ class TestDenseOracle:
             expected = SignedGraph.from_edges(k, [e for e in edges if e[2] is not None])
             assert got == expected
 
-    @pytest.mark.parametrize("nodes", [[0, 1, 0], [0, 3], [-1, 2]])
+    @pytest.mark.parametrize("nodes", [[0, 1, 0], [0, 3], [-1, 2], []])
     def test_induced_rejects_repeated_or_out_of_range_uncharged(self, nodes):
         o = DenseOracle(triangle(Sign.PLUS, Sign.PLUS, Sign.MINUS))
         with pytest.raises(ValueError):
