@@ -14,6 +14,11 @@ edge): it walks on the positive subgraph only, reads each node's row at its
 first visit, and stops at the first negative edge into the visited set.
 
 Both walk searches draw a start's randomness for all its walks in chunks.
+The balance search then advances a start's walks together, a group at a
+time, with one batch oracle read (``query_batch``) per step, and replays the
+group that collides in walk order: its decisions, witnesses and accept costs
+are those of running the walks one after another, and a reject also pays for
+the rest of its last group.
 
 All three testers here are one-sided; every Reject carries a verifiable
 witness. When eps >= 1 or the walk budget would exceed the N*d cost of just
@@ -27,10 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterator
+
+import numpy as np
 
 from . import exact
 from .core import Sign, SignedGraph, Witness, WitnessKind, midpoint
-from .oracles import BoundedDegreeOracle, Verdict, _as_rng, _chunked_draws, _chunked_integers
+from .oracles import _CHUNK, BoundedDegreeOracle, Verdict, _as_rng, _chunked_integers
 
 C_TRIANGLE_BD = 10.0
 
@@ -85,28 +93,6 @@ def _lazy_step(o: BoundedDegreeOracle, v: int, slot: int) -> int:
     if res is None or res[1]:  # sign 1 is minus
         return v
     return res[0]
-
-
-def _gprime_step(o: BoundedDegreeOracle, x: int, slot: int, coin: float) -> int:
-    """Decision core for one lazy step on G2, fed pre-drawn randomness.
-
-    Original u: query slot; empty -> stay; negative edge -> the neighbor;
-    positive edge -> its midpoint. Midpoints have degree 2, so under the
-    uniform bound d they move with probability 2/d, splitting the coin
-    evenly between the two endpoints. Costs 1 query from an original node,
-    0 from a midpoint.
-    """
-    n = o.n
-    if x < n:
-        res = o.query(x, slot)
-        if res is None:
-            return x
-        v, sign = res
-        return v if sign else midpoint(n, x, v)  # sign 1 is minus
-    if coin * o.d < 2.0:
-        u, v = divmod(x - n, n)
-        return u if coin * o.d < 1.0 else v
-    return x
 
 
 def sample_gprime_node(o: BoundedDegreeOracle, rng) -> int | None:
@@ -296,34 +282,134 @@ def _draw_start(o: BoundedDegreeOracle, rng) -> int | None:
     return None
 
 
+# A start's walks advance together in groups of _GROUP_WALKS: enough to
+# spread NumPy's cost per call, few enough that a reject, which pays for the
+# rest of its group, costs little more. Fewer walks make a group when their
+# draws and states would pass _GROUP_STEPS steps, and one walk longer than
+# that runs alone, _GROUP_STEPS steps at a time, so memory stays bounded.
+_GROUP_WALKS = 512
+_GROUP_STEPS = 1 << 14
+
+
+def _walk_blocks(rng, d: int, walks: int, length: int) -> Iterator[tuple[int, np.ndarray]]:
+    """A start's walk randomness in lockstep blocks (t, draws): draws[i, j] is
+    the (slot, coin code) of step t + j of the block's i-th walk, and a block
+    with t = 0 starts a new group. The values are those of _chunked_draws'
+    slot and coin streams read in turn, as walking one step at a time reads
+    them: _CHUNK slots, then _CHUNK coins, and so on. A coin is kept as the
+    move it makes from a midpoint: 0 to the smaller end, 1 to the larger, 2
+    stay."""
+    group = min(_GROUP_WALKS, max(1, _GROUP_STEPS // length))
+    span = min(length, _GROUP_STEPS)  # the whole walk whenever group > 1
+    dtype = np.min_scalar_type(d)
+    rest, left = np.empty((0, 2), dtype), walks * length
+    for j in range(0, walks, group):
+        g = min(group, walks - j)
+        for t in range(0, length, span):
+            need = g * min(span, length - t)
+            parts, have = [rest], len(rest)
+            while have < need:
+                size = min(_CHUNK, left)
+                slots = rng.integers(1, d + 1, size=size)
+                moves = np.minimum(rng.random(size=size) * d, 2.0)
+                parts.append(np.stack((slots, moves), axis=1).astype(dtype))
+                have, left = have + size, left - size
+            block = np.concatenate(parts)
+            rest = block[need:]
+            yield t, block[:need].reshape(g, -1, 2)
+
+
+def _lockstep(o: BoundedDegreeOracle, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Advance walks on G2 together: walk i from state[i] (2*id + parity of
+    its moves) by draws[i, t] at step t. Each step reads the slots of the
+    walks on original nodes with one query_batch; from a midpoint the coin
+    code moves for free. Returns the (walks, steps) states after each step.
+
+    From original u: an empty slot stays, a negative edge goes to the
+    neighbor, a positive one to its midpoint. Midpoints have degree 2, so
+    under the uniform bound d they move with probability 2/d, split evenly
+    between the two endpoints."""
+    n = o.n
+    slots = draws[:, :, 0].astype(np.int64)
+    stay, to_larger = draws[:, :, 1] == 2, draws[:, :, 1] == 1
+    x = state >> 1
+    ids = np.empty(draws.shape[:2], dtype=np.int64)
+    for t in range(draws.shape[1]):
+        on = x < n
+        u = x[on]
+        v, sign = o.query_batch(u, slots[on, t])
+        a, b = np.divmod(x - n, n)  # the ends of midpoint n + a*n + b
+        x = np.where(stay[:, t], x, np.where(to_larger[:, t], b, a))
+        # an empty slot reads v = -1, and n + min(u, v)*n + max(u, v) = u: stay
+        x[on] = np.where(sign > 0, v, n + np.minimum(u, v) * n + np.maximum(u, v))
+        ids[:, t] = x
+    # parity: the moves so far, counted mod 256 (any even modulus keeps it)
+    moved = np.empty(ids.shape, dtype=np.uint8)
+    np.not_equal(ids[:, 0], state >> 1, out=moved[:, 0])
+    np.not_equal(ids[:, 1:], ids[:, :-1], out=moved[:, 1:])
+    np.cumsum(moved, axis=1, out=moved)
+    moved += (state & 1)[:, None].astype(np.uint8)
+    ids <<= 1
+    ids |= moved & 1
+    return ids
+
+
+def _in_sorted(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Which entries of x occur in the sorted, nonempty array a."""
+    return a[np.minimum(np.searchsorted(a, x), len(a) - 1)] == x
+
+
 def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None:
     """Draw one G2 start and run its walks; a (node, parity) collision gives
     an odd-negative-cycle witness. None when the draw abstains or no walk
-    collides."""
+    collides.
+
+    The walks run in lockstep blocks (_walk_blocks, _lockstep). A start
+    collides exactly when the states its walks visit hold both parities of
+    one node, in whatever order the walks run, so each block is checked once
+    it has run. The block that collides is replayed in walk order, which
+    finds the collision and the witness that walking one walk after another
+    finds. Decisions, witnesses and accept costs are those of that order; a
+    reject pays for every step of its last block."""
     s = _draw_start(o, rng)
     if s is None:
         return None
-    # walk state 2*id + parity of the moves so far; each state keeps the
-    # state of its first arrival, and both parities at one node prove an
-    # odd cycle
-    parent: dict[int, int | None] = {2 * s: None}
-    steps = p.walks_per_start * p.walk_length
-    draws = zip(_chunked_integers(rng, 1, o.d + 1, steps), _chunked_draws(rng.random, steps))
-    for _ in range(p.walks_per_start):
-        x, state = s, 2 * s
-        for slot, coin in islice(draws, p.walk_length):
-            nxt = _gprime_step(o, x, slot, coin)
-            if nxt == x:
-                continue
-            x, prev = nxt, state
-            state = 2 * x + ((prev & 1) ^ 1)
-            parent.setdefault(state, prev)
-            if state ^ 1 in parent:
-                # the tree path between x's two states is a closed odd walk
-                up, down = exact.forest_paths(parent, state, state ^ 1)
-                closed = [t >> 1 for t in up + down[::-1]]
-                return _contract_to_g_cycle(_extract_odd_cycle(closed), o.n)
+    # walk states 2*id + parity: seen holds those visited, sorted, and
+    # came_from the state each first arrived from (-1 for the start)
+    seen, came_from = np.array([2 * s]), np.array([-1])
+    for t, draws in _walk_blocks(rng, o.d, p.walks_per_start, p.walk_length):
+        before = np.full(len(draws), 2 * s) if t == 0 else visits[:, -1].copy()
+        visits = _lockstep(o, before, draws)
+        flat = visits.ravel()  # in walk order
+        new, first = np.unique(flat, return_index=True)
+        fresh = ~_in_sorted(seen, new)
+        new, first = new[fresh], first[fresh]
+        at = np.searchsorted(seen, new)
+        merged = np.insert(seen, at, new)
+        if _in_sorted(merged, new ^ 1).any():
+            return _first_collision(o.n, seen, came_from, before, visits)
+        walk, step = np.divmod(first, visits.shape[1])
+        came_from = np.insert(came_from, at, np.where(step > 0, flat[first - 1], before[walk]))
+        seen = merged
     return None
+
+
+def _first_collision(n: int, seen, came_from, before, visits) -> Witness:
+    """Replay a colliding block's walks one after another on the first-arrival
+    forest of the states seen before it, up to the first move whose node was
+    reached before with the other parity; the forest paths of the two states
+    close an odd walk, reduced to a simple odd cycle."""
+    parent = {st: None if f < 0 else f for st, f in zip(seen.tolist(), came_from.tolist())}
+    for prev, row in zip(before.tolist(), visits.tolist()):
+        for state in row:
+            if state != prev:
+                parent.setdefault(state, prev)
+                if state ^ 1 in parent:
+                    up, down = exact.forest_paths(parent, state, state ^ 1)
+                    closed = [t >> 1 for t in up + down[::-1]]
+                    return _contract_to_g_cycle(_extract_odd_cycle(closed), n)
+            prev = state
+    raise AssertionError("the block holds no collision")
 
 
 def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,

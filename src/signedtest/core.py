@@ -11,6 +11,7 @@ import io
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -105,6 +106,17 @@ class SignedGraph:
     @cached_property
     def _sign_map(self) -> tuple[dict[int, int], ...]:  # [u][v] -> sign of (u, v)
         return tuple(map(dict, self.adj))
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as CSR arrays (indptr, nbr as int32, sign as int8), each
+        row in insertion order. nbr and sign end with one -1 past the last row, the
+        answer read for an empty slot."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.adj), dtype=np.int64, count=self.n), out=indptr[1:])
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(self.adj)),
+                            dtype=np.int32, count=2 * int(indptr[-1]))
+        return indptr, np.append(pairs[0::2], -1), np.append(pairs[1::2], -1).astype(np.int8)
 
     def sign_of(self, u: int, v: int) -> int | None:
         """Sign of edge (u,v), or None if absent."""

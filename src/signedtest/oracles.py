@@ -3,8 +3,9 @@
 Testers never touch a ``SignedGraph`` directly; they see one of the two query
 models here. Every adjacency-matrix entry and every neighbor slot read adds
 one to ``query_count``, including empty-slot answers, whether it is read by
-``query`` or by a bulk read (``induced``, ``neighbors``). Free metadata is
-limited to the node count and (bounded model) the degree bound.
+``query`` or by a bulk read (``induced``, ``neighbors``, ``query_batch``).
+Free metadata is limited to the node count and (bounded model) the degree
+bound.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -77,6 +78,7 @@ class BoundedDegreeOracle:
         self.d = graph.degree_bound
         self.query_count = 0
         self._adj = graph.adj
+        self._graph = graph  # its CSR index is built at the first query_batch
 
     def query(self, v: int, i: int) -> tuple[int, int] | None:
         if not 0 <= v < self.n:
@@ -102,6 +104,24 @@ class BoundedDegreeOracle:
             yield pair
         if len(row) < self.d:
             self.query_count += 1
+
+    def query_batch(self, nodes, slots) -> tuple[np.ndarray, np.ndarray]:
+        """query(nodes[k], slots[k]) for every k at once, as two arrays
+        (neighbors, signs), both -1 where the slot is empty. Every entry is
+        range-checked before any is charged; then each costs one query."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        if nodes.shape != slots.shape:
+            raise ValueError("query_batch needs one slot per node")
+        if nodes.size and not (0 <= nodes.min() and nodes.max() < self.n):
+            raise ValueError(f"node out of range for n={self.n}")
+        if slots.size and not (1 <= slots.min() and slots.max() <= self.d):
+            raise ValueError(f"neighbor index outside 1..{self.d}")
+        self.query_count += nodes.size
+        indptr, nbr, sign = self._graph._csr
+        pos = indptr[nodes] + slots - 1
+        pos[pos >= indptr[nodes + 1]] = -1  # an empty slot reads the -1 past the last row
+        return nbr[pos], sign[pos]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 
-from signedtest.core import Sign, SignedGraph
+from signedtest import bounded_testers as bt
+from signedtest.core import Sign, SignedGraph, midpoint
+from signedtest.exact import forest_paths
+from signedtest.oracles import _chunked_draws, _chunked_integers
 
 _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(1, 6)}
 
@@ -40,3 +43,47 @@ def random_signed_graph(rng, n, p_edge=0.5, p_minus=0.5, max_positive=None):
             for i in pos_idx[max_positive:]:
                 edges[i][2] = Sign.MINUS
     return SignedGraph.from_edges(n, [tuple(e) for e in edges])
+
+
+def parity_search_walking_one_walk_at_a_time(o, p, rng):
+    """Reference balance search: the walks of one start run one after another,
+    one oracle query per step, and the search stops at the first move that
+    reaches a node with the other parity."""
+    s = bt._draw_start(o, rng)
+    if s is None:
+        return None
+    parent = {2 * s: None}
+    steps = p.walks_per_start * p.walk_length
+    draws = zip(_chunked_integers(rng, 1, o.d + 1, steps), _chunked_draws(rng.random, steps))
+    for _ in range(p.walks_per_start):
+        x, state = s, 2 * s
+        for slot, coin in itertools.islice(draws, p.walk_length):
+            nxt = gprime_step(o, x, slot, coin)
+            if nxt == x:
+                continue
+            x, prev = nxt, state
+            state = 2 * x + ((prev & 1) ^ 1)
+            parent.setdefault(state, prev)
+            if state ^ 1 in parent:
+                up, down = forest_paths(parent, state, state ^ 1)
+                closed = [t >> 1 for t in up + down[::-1]]
+                return bt._contract_to_g_cycle(bt._extract_odd_cycle(closed), o.n)
+    return None
+
+
+def gprime_step(o, x, slot, coin):
+    """One lazy step on G2 from node id x, one query from an original node:
+    empty slot -> stay, negative edge -> the neighbor, positive edge -> its
+    midpoint; a midpoint moves to its smaller end when coin*d < 1, to its
+    larger when coin*d < 2, else stays."""
+    n = o.n
+    if x < n:
+        res = o.query(x, slot)
+        if res is None:
+            return x
+        v, sign = res
+        return v if sign else midpoint(n, x, v)
+    if coin * o.d < 2.0:
+        u, v = divmod(x - n, n)
+        return u if coin * o.d < 1.0 else v
+    return x

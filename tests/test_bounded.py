@@ -32,7 +32,12 @@ from signedtest.generators import (
 )
 from signedtest.oracles import BoundedDegreeOracle, _chunked_draws, _chunked_integers
 
-from conftest import all_signed_graphs, make_graph, triangle
+from conftest import (
+    all_signed_graphs,
+    make_graph,
+    parity_search_walking_one_walk_at_a_time,
+    triangle,
+)
 
 PPM = (Sign.PLUS, Sign.PLUS, Sign.MINUS)
 
@@ -51,11 +56,11 @@ def _lazy_step(o, v, rng):
     return bt._lazy_step(o, v, int(rng.integers(1, o.d + 1)))
 
 
-def _gprime_step(o, x, rng):
-    """One G2 walk step through the balance tester's step core, fed a uniform
-    slot and then a uniform coin."""
-    slot = int(rng.integers(1, o.d + 1))
-    return bt._gprime_step(o, x, slot, float(rng.random()))
+def _gprime_steps(o, x, walks, rng):
+    """Where `walks` walks at G2 node x stand after one step of the balance
+    search's lockstep core, fed the search's own draws."""
+    return np.concatenate([bt._lockstep(o, np.full(len(draws), 2 * x), draws)[:, 0] >> 1
+                           for _, draws in bt._walk_blocks(rng, o.d, walks, 1)])
 
 
 # walk-path constants used when exercising the sampling machinery on desk-
@@ -97,7 +102,7 @@ class TestGPrimeWalkStep:
         g = _ppm_triangle(d=2)
         o = _oracle(g)
         rng = np.random.default_rng(3)
-        outs = Counter(_gprime_step(o, midpoint(3, 0, 1), rng) for _ in range(2000))
+        outs = Counter(_gprime_steps(o, midpoint(3, 0, 1), 2000, rng).tolist())
         assert set(outs) == {0, 1}
         assert abs(outs[0] / 2000 - 0.5) < 0.05
 
@@ -106,14 +111,14 @@ class TestGPrimeWalkStep:
         o = _oracle(g)
         rng = np.random.default_rng(4)
         n = 100_000
-        moved = sum(_gprime_step(o, 0, rng) == 1 for _ in range(n))
+        moved = np.count_nonzero(_gprime_steps(o, 0, n, rng) == 1)
         assert abs(moved / n - 1 / 3) < 0.02
 
     def test_positive_edge_enters_subdivision(self):
         g = make_graph(2, [(0, 1, Sign.PLUS)], d=2)
         o = _oracle(g)
         rng = np.random.default_rng(5)
-        outs = {_gprime_step(o, 0, rng) for _ in range(100)}
+        outs = set(_gprime_steps(o, 0, 100, rng).tolist())
         assert outs <= {0, midpoint(2, 0, 1)}
         assert midpoint(2, 0, 1) in outs
 
@@ -139,9 +144,8 @@ class TestGPrimeWalkStep:
         per_state = 100_000
         for i, node in enumerate(names):
             counts = np.zeros(gp.n)
-            for _ in range(per_state):
-                nxt = _gprime_step(o, node, rng)
-                counts[idx[nxt]] += 1
+            for nxt, times in Counter(_gprime_steps(o, node, per_state, rng).tolist()).items():
+                counts[idx[nxt]] += times
             tv = 0.5 * np.abs(counts / per_state - expected[i]).sum()
             assert tv <= 0.02, (node, tv)
 
@@ -151,11 +155,8 @@ class TestGPrimeWalkStep:
         g = _ppm_triangle(d=2)
         o = _oracle(g)
         rng = np.random.default_rng(7)
-        x = 0
-        occ = Counter()
-        for _ in range(10_000):
-            x = _gprime_step(o, x, rng)
-            occ[x] += 1
+        (_, draws), = bt._walk_blocks(rng, o.d, 1, 10_000)
+        occ = Counter((bt._lockstep(o, np.array([0]), draws)[0] >> 1).tolist())
         assert len(occ) == 5
         tv = 0.5 * sum(abs(c / 10_000 - 0.2) for c in occ.values())
         assert tv <= 0.05
@@ -273,6 +274,25 @@ def test_chunked_walk_draws_equal_per_walk_draws(d, m, length):
     assert ([list(itertools.islice(coins, length)) for _ in range(m)]
             == [per_walk.random(length).tolist() for _ in range(m)])
     assert per_walk.integers(50_000) == chunked.integers(50_000)
+
+
+@pytest.mark.parametrize("d", [2, 6, 300])
+@pytest.mark.parametrize("walks, length", [(1, 4097), (455, 9), (600, 3), (1, 1)])
+def test_lockstep_draws_equal_the_one_step_at_a_time_draws(d, walks, length):
+    # the blocks hold, walk after walk, the slots and coins that walking one
+    # step at a time reads from the two chunked streams in turn
+    blocked, stepped = np.random.default_rng(3), np.random.default_rng(3)
+    slots, coins = [], []
+    for _, draws in bt._walk_blocks(blocked, d, walks, length):
+        slots += draws[:, :, 0].ravel().tolist()
+        coins += draws[:, :, 1].ravel().tolist()
+    steps = walks * length
+    want = list(zip(_chunked_integers(stepped, 1, d + 1, steps),
+                    _chunked_draws(stepped.random, steps)))
+    assert slots == [slot for slot, _ in want]
+    # a midpoint moves to its smaller end when coin*d < 1, its larger when < 2
+    assert coins == [0 if c * d < 1.0 else 1 if c * d < 2.0 else 2 for _, c in want]
+    assert blocked.integers(50_000) == stepped.integers(50_000)
 
 
 class TestBadCycleSearch:
@@ -533,6 +553,26 @@ class TestBalanceBounded:
         v = bt.test_balance_bounded(o, 0.9, 5, constants=WALK_BAL)
         cap = p.starts * (16 * 3 * 4 + p.walks_per_start * p.walk_length)
         assert v.queries_used <= cap
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lockstep_keeps_every_decision_witness_and_accept_cost(self, family, monkeypatch):
+        # against the search that walks one walk after another and stops at
+        # the first collision: the same verdicts, and accepts cost the same;
+        # a reject also pays for the rest of the block it collided in
+        for n in (300, 3000):
+            g, _ = generate(GenSpec(family, n, d=None if family == DISJOINT_BAD_TRIANGLES else 4))
+            for eps, sd in itertools.product((0.9, 0.5), range(8)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(bt, "_parity_search", parity_search_walking_one_walk_at_a_time)
+                    want = bt.test_balance_bounded(_oracle(g), eps, sd, constants=WALK_BAL)
+                got = bt.test_balance_bounded(_oracle(g), eps, sd, constants=WALK_BAL)
+                assert ((got.accept, got.witness, got.exact_fallback)
+                        == (want.accept, want.witness, want.exact_fallback))
+                if got.accept:
+                    assert got.queries_used == want.queries_used
+                else:
+                    p = bt.balance_walk_schedule(n, g.degree_bound, eps, WALK_BAL)
+                    assert want.queries_used <= got.queries_used <= bt.balance_budget(p, g.degree_bound)
 
     def test_deterministic_per_seed(self):
         g, _ = generate(GenSpec(ALL_NEGATIVE_REGULAR, 200, seed=3, d=3))

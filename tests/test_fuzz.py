@@ -9,16 +9,27 @@ from __future__ import annotations
 import io
 import itertools
 from collections import Counter
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedtest import bounded_testers as bt
 from signedtest import dense_testers as dt
-from signedtest.core import Sign, SignedGraph, WitnessKind, dumps_edge_list, load_edge_list
+from signedtest.core import (
+    Sign,
+    SignedGraph,
+    WitnessKind,
+    dumps_edge_list,
+    load_edge_list,
+    midpoint,
+)
 from signedtest.exact import is_balanced, is_clusterable
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle
+
+from conftest import parity_search_walking_one_walk_at_a_time
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -162,6 +173,38 @@ def test_walk_testers_are_one_sided_and_their_witnesses_hold():
     check()
     # the witness checks above ran on both testers
     assert rejects["balance"] > 0 and rejects["clusterability"] > 0
+
+
+def test_lockstep_parity_search_matches_walking_one_walk_at_a_time():
+    seen = Counter()
+
+    # tiny groups and blocks split the walks the way long schedules do
+    @FUZZ
+    @given(edge_lists(min_nodes=2), st.integers(1, 60), st.integers(1, 30),
+           st.integers(1, 64), st.integers(1, 512), st.integers(0, 2**32 - 1), st.data())
+    def check(case, walks, length, group_walks, group_steps, seed, data):
+        n, edges = case
+        d = max([2] + [len(r) for r in _rows(n, edges)])
+        g = SignedGraph.from_edges(n, edges, degree_bound=d)
+        mids = [midpoint(n, min(u, v), max(u, v)) for u, v, s in edges if _stored(s) == Sign.PLUS]
+        start = data.draw(st.sampled_from(mids) if mids and data.draw(st.booleans())
+                          else st.integers(0, n - 1))
+        p = bt.WalkParams(starts=1, walks_per_start=walks, walk_length=length)
+        lockstep, stepping = BoundedDegreeOracle(g), BoundedDegreeOracle(g)
+        with mock.patch.multiple(bt, _draw_start=lambda o, rng: start,
+                                 _GROUP_WALKS=group_walks, _GROUP_STEPS=group_steps):
+            got = bt._parity_search(lockstep, p, np.random.default_rng(seed))
+            want = parity_search_walking_one_walk_at_a_time(stepping, p, np.random.default_rng(seed))
+        assert got == want
+        if got is None:
+            assert lockstep.query_count == stepping.query_count
+        else:
+            assert lockstep.query_count >= stepping.query_count
+            seen["reject"] += 1
+        seen["midpoint start" if start >= n else "original start"] += 1
+
+    check()
+    assert min(seen[k] for k in ("reject", "midpoint start", "original start")) > 0
 
 
 def _has_triangle(n, edges, pattern) -> bool:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from signedtest import bounded_testers, dense_testers
 from signedtest.core import Sign, SignedGraph
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle, RandomSource
 
@@ -156,6 +161,75 @@ class TestBoundedDegreeOracle:
             with pytest.raises(ValueError):
                 next(o.neighbors(v))
         assert o.query_count == 0
+
+
+    @pytest.mark.parametrize("g", [
+        make_graph(5, [(0, 1, Sign.PLUS), (0, 2, Sign.MINUS), (0, 3, Sign.PLUS),
+                       (1, 2, Sign.MINUS)], d=3),
+        SignedGraph.from_edges(3, [], degree_bound=2),
+    ], ids=["short rows", "no edges"])
+    def test_query_batch_answers_every_entry_as_query_does_at_one_query_each(self, g):
+        # every (node, slot) pair twice, empty slots included
+        entries = list(itertools.product(range(g.n), range(1, g.degree_bound + 1))) * 2
+        o, ref = BoundedDegreeOracle(g), BoundedDegreeOracle(g)
+        nbrs, signs = o.query_batch(*zip(*entries))
+        assert o.query_count == len(entries)
+        assert signs.dtype == np.int8
+        got = [None if w < 0 else (w, s) for w, s in zip(nbrs.tolist(), signs.tolist())]
+        assert got == [ref.query(v, i) for v, i in entries]
+
+    def test_query_batch_fuzz_against_adjacency(self):
+        rng = np.random.default_rng(12)
+        g = random_signed_graph(rng, 25, p_edge=0.15)
+        d = max(1, g.max_degree())
+        g = SignedGraph.from_edges(g.n, list(g.edges()), degree_bound=d)
+        nodes, slots = rng.integers(25, size=10_000), rng.integers(1, d + 1, size=10_000)
+        o = BoundedDegreeOracle(g)
+        nbrs, signs = o.query_batch(nodes, slots)
+        for v, i, w, s in zip(nodes.tolist(), slots.tolist(), nbrs.tolist(), signs.tolist()):
+            row = g.adj[v]
+            assert (w, s) == (row[i - 1] if i <= len(row) else (-1, -1))
+        assert o.query_count == 10_000
+
+    @pytest.mark.parametrize("nodes, slots", [
+        ([0, 3], [1, 1]), ([-1, 0], [1, 1]), ([0, 1], [1, 0]), ([2, 0], [1, 3]),
+        ([0, 1], [1]),
+    ])
+    def test_query_batch_rejects_any_bad_entry_uncharged(self, nodes, slots):
+        o = BoundedDegreeOracle(make_graph(3, [(0, 1, Sign.PLUS)], d=2))
+        with pytest.raises(ValueError):
+            o.query_batch(nodes, slots)
+        assert o.query_count == 0
+
+    def test_empty_query_batch_costs_nothing(self):
+        o = BoundedDegreeOracle(make_graph(3, [(0, 1, Sign.PLUS)], d=2))
+        nbrs, signs = o.query_batch([], [])
+        assert nbrs.size == signs.size == 0 and o.query_count == 0
+
+    def test_query_batch_index_is_built_once_per_graph_at_the_first_batch_read(self):
+        g = make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.MINUS)], d=2)
+        first, second = BoundedDegreeOracle(g), BoundedDegreeOracle(g)
+        first.query(0, 1)
+        list(first.neighbors(1))
+        assert "_csr" not in vars(g)
+        first.query_batch([0], [1])
+        index = vars(g)["_csr"]
+        second.query_batch([1], [2])
+        assert vars(g)["_csr"] is index
+
+
+def test_testers_read_graphs_only_through_charged_oracle_methods():
+    # the private state of both oracles and of the graph they hold, indexes
+    # included: a tester naming any of it could read without paying
+    g = make_graph(3, [(0, 1, Sign.PLUS)], d=2)
+    bounded, dense = BoundedDegreeOracle(g), DenseOracle(g)
+    bounded.query_batch([0], [1])
+    private = {name for obj in (bounded, dense, g) for name in vars(obj) if name.startswith("_")}
+    assert {"_adj", "_graph", "_signs", "_sign_map", "_csr"} <= private
+    for module in (bounded_testers, dense_testers):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        for name in private:
+            assert not re.search(rf"""\.{name}\b|['"]{name}['"]""", source), (module.__name__, name)
 
 
 class TestRandomSource:
