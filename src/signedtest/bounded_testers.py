@@ -336,12 +336,16 @@ def _lockstep(o: BoundedDegreeOracle, state: np.ndarray, draws: np.ndarray) -> n
     ids = np.empty(draws.shape[:2], dtype=np.int64)
     for t in range(draws.shape[1]):
         on = x < n
-        u = x[on]
-        v, sign = o.query_batch(u, slots[on, t])
-        a, b = np.divmod(x - n, n)  # the ends of midpoint n + a*n + b
-        x = np.where(stay[:, t], x, np.where(to_larger[:, t], b, a))
-        # an empty slot reads v = -1, and n + min(u, v)*n + max(u, v) = u: stay
-        x[on] = np.where(sign > 0, v, n + np.minimum(u, v) * n + np.maximum(u, v))
+        some_on, all_on = on.any(), on.all()  # skip the half no walk needs
+        if some_on:
+            u = x[on]
+            v, sign = o.query_batch(u, slots[on, t])
+        if not all_on:
+            a, b = np.divmod(x - n, n)  # the ends of midpoint n + a*n + b
+            x = np.where(stay[:, t], x, np.where(to_larger[:, t], b, a))
+        if some_on:
+            # an empty slot reads v = -1, and n + min(u, v)*n + max(u, v) = u: stay
+            x[on] = np.where(sign > 0, v, n + np.minimum(u, v) * n + np.maximum(u, v))
         ids[:, t] = x
     # parity: the moves so far, counted mod 256 (any even modulus keeps it)
     moved = np.empty(ids.shape, dtype=np.uint8)
