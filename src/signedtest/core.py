@@ -8,7 +8,7 @@ immutable ``SignedGraph`` defined here.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain
@@ -65,6 +65,11 @@ class SignedGraph:
     n: int
     adj: tuple[tuple[tuple[int, int], ...], ...]
     degree_bound: int | None = None
+    # Indexes built at their first use and shared by every oracle on the
+    # graph (see csr_rows). An oracle keeps this dict instead of the graph: an
+    # empty dict is not GC-tracked, so a graph that only oracles reach is
+    # freed and adds no object for each full collection to scan.
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(
@@ -106,17 +111,6 @@ class SignedGraph:
     @cached_property
     def _sign_map(self) -> tuple[dict[int, int], ...]:  # [u][v] -> sign of (u, v)
         return tuple(map(dict, self.adj))
-
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows as CSR arrays (indptr, nbr as int32, sign as int8), each
-        row in insertion order. nbr and sign end with one -1 past the last row, the
-        answer read for an empty slot."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.adj), dtype=np.int64, count=self.n), out=indptr[1:])
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(self.adj)),
-                            dtype=np.int32, count=2 * int(indptr[-1]))
-        return indptr, np.append(pairs[0::2], -1), np.append(pairs[1::2], -1).astype(np.int8)
 
     def sign_of(self, u: int, v: int) -> int | None:
         """Sign of edge (u,v), or None if absent."""
@@ -277,6 +271,24 @@ def midpoint(n: int, u: int, v: int) -> int:
     if u > v:
         u, v = v, u
     return n + u * n + v
+
+
+def csr_rows(adj: tuple[tuple[tuple[int, int], ...], ...],
+             indexes: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A graph's rows ``adj`` as CSR arrays (indptr, nbr as int32, sign as
+    int8), each row in insertion order; nbr and sign end with one -1 past the
+    last row, the answer read for an empty slot. Built at the first call and
+    kept in ``indexes``, the same graph's ``_indexes``."""
+    csr = indexes.get("csr")
+    if csr is None:
+        n = len(adj)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(adj)),
+                            dtype=np.int32, count=2 * int(indptr[-1]))
+        csr = indexes["csr"] = (indptr, np.append(pairs[0::2], -1),
+                                np.append(pairs[1::2], -1).astype(np.int8))
+    return csr
 
 
 @dataclass(frozen=True)

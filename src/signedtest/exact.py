@@ -196,11 +196,12 @@ def frustration_index(g: SignedGraph) -> int:
 def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     """Edges a cluster labeling violates: positive across or negative inside."""
     bad = 0
-    for u, row in enumerate(g.adj):
-        lu = labels[u]
-        for v, s in row:
-            bad += (lu != labels[v]) ^ s  # plus (0) violates across, minus (1) inside
-    return bad // 2  # each edge was counted from both ends
+    for u, v, s in g.edges():
+        if s == Sign.PLUS:
+            bad += labels[u] != labels[v]
+        else:
+            bad += labels[u] == labels[v]
+    return bad
 
 
 def k_frustration_index(g: SignedGraph, k: int) -> int:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import SignedGraph, Witness
+from .core import SignedGraph, Witness, csr_rows
 
 
 class DenseOracle:
@@ -78,7 +78,7 @@ class BoundedDegreeOracle:
         self.d = graph.degree_bound
         self.query_count = 0
         self._adj = graph.adj
-        self._graph = graph  # its CSR index is built at the first query_batch
+        self._indexes = graph._indexes  # the CSR index goes there at the first query_batch
 
     def query(self, v: int, i: int) -> tuple[int, int] | None:
         if not 0 <= v < self.n:
@@ -118,7 +118,7 @@ class BoundedDegreeOracle:
         if slots.size and not (1 <= slots.min() and slots.max() <= self.d):
             raise ValueError(f"neighbor index outside 1..{self.d}")
         self.query_count += nodes.size
-        indptr, nbr, sign = self._graph._csr
+        indptr, nbr, sign = csr_rows(self._adj, self._indexes)
         pos = indptr[nodes] + slots - 1
         pos[pos >= indptr[nodes + 1]] = -1  # an empty slot reads the -1 past the last row
         return nbr[pos], sign[pos]

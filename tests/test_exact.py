@@ -12,7 +12,6 @@ from signedtest.core import Clustering, Sign, Witness, WitnessKind
 from signedtest.generators import PLANTED_NEGATIVE_MATCHING, GenSpec, generate
 from signedtest.exact import (
     SizeCapError,
-    clustering_violations,
     forest_paths,
     frustration_index,
     has_signed_triangle,
@@ -279,14 +278,6 @@ class TestKFrustration:
             g = random_signed_graph(rng, n)
             k = int(rng.integers(1, n + 1))
             assert k_frustration_index(g, k) == ref_k_frustration(g, k)
-
-    def test_clustering_violations_count_the_sorted_edge_list(self):
-        rng = np.random.default_rng(37)
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            g = random_signed_graph(rng, n, p_edge=float(rng.random()))
-            labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n).tolist()
-            assert clustering_violations(g, labels) == violations(g, labels)
 
     def test_size_caps(self):
         g = make_graph(13, [(0, 1, "+")])

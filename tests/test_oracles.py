@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -211,21 +213,34 @@ class TestBoundedDegreeOracle:
         first, second = BoundedDegreeOracle(g), BoundedDegreeOracle(g)
         first.query(0, 1)
         list(first.neighbors(1))
-        assert "_csr" not in vars(g)
+        assert not g._indexes
         first.query_batch([0], [1])
-        index = vars(g)["_csr"]
+        index = g._indexes["csr"]
         second.query_batch([1], [2])
-        assert vars(g)["_csr"] is index
+        assert g._indexes["csr"] is index
+
+    def test_oracle_does_not_keep_its_graph_alive(self):
+        # the harness and the small-graph sweeps build many oracles on graphs
+        # nobody else holds; each graph kept alive is one more object for
+        # every full garbage collection to scan
+        g = make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.MINUS)], d=2)
+        graph = weakref.ref(g)
+        o = BoundedDegreeOracle(g)
+        del g
+        assert graph() is None
+        assert not gc.is_tracked(o._indexes)
+        nbrs, _ = o.query_batch([1, 1, 2], [1, 2, 2])
+        assert nbrs.tolist() == [0, 2, -1]
 
 
 def test_testers_read_graphs_only_through_charged_oracle_methods():
-    # the private state of both oracles and of the graph they hold, indexes
-    # included: a tester naming any of it could read without paying
+    # the private state of both oracles and of the graph they read, its
+    # indexes included: a tester naming any of it could read without paying
     g = make_graph(3, [(0, 1, Sign.PLUS)], d=2)
     bounded, dense = BoundedDegreeOracle(g), DenseOracle(g)
     bounded.query_batch([0], [1])
     private = {name for obj in (bounded, dense, g) for name in vars(obj) if name.startswith("_")}
-    assert {"_adj", "_graph", "_signs", "_sign_map", "_csr"} <= private
+    assert {"_adj", "_indexes", "_signs", "_sign_map"} <= private
     for module in (bounded_testers, dense_testers):
         source = Path(module.__file__).read_text(encoding="utf-8")
         for name in private:
