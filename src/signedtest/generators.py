@@ -4,11 +4,18 @@ Every family is a pure function of its ``GenSpec``: the same spec yields a
 byte-identical edge list. Metadata records which property the instance holds
 or violates and how far it is, flagged ``exact`` (small enough to brute-force
 or additive by construction) or ``construction-backed`` (margin argument).
+
+The random families are permutations: a ring follows one, a matching pairs
+its consecutive free nodes, so each draws its edges as NumPy arrays of
+pairs and builds the graph with one ``SignedGraph.from_arrays`` call. Only
+the planted matching picks its edges one at a time, against a set of packed
+pair keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 from typing import Any
 
 import numpy as np
@@ -48,6 +55,8 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _rng_for(spec: GenSpec) -> np.random.Generator:
@@ -55,93 +64,83 @@ def _rng_for(spec: GenSpec) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(fam_id,)))
 
 
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _keys(pairs, n: int) -> np.ndarray:
+    """One int per (m, 2) pair of nodes below n, equal exactly for equal pairs."""
+    return np.minimum(*pairs.T) * n + np.maximum(*pairs.T)
 
 
-def _add_edge(u, v, used, edges, sign, degree) -> bool:
-    """Append edge {u, v} unless already present, counting it into degree."""
-    p = _pair(u, v)
-    if p in used:
-        return False
-    used.add(p)
-    edges.append((p[0], p[1], sign))
-    degree[u] += 1
-    degree[v] += 1
-    return True
+def _rings_and_matchings(rng, members, rings, matchings, cap, degree):
+    """Pairs of ``rings`` random rings through the ``members`` array (one edge
+    for two members), then of ``matchings`` random matchings over those below
+    degree ``cap`` (odd leftovers stay unmatched). A pair made before is
+    skipped. Counts the pairs into ``degree``."""
+    made = np.empty((0, 2), dtype=np.int64)
+    for i in range(rings + matchings):
+        if i >= rings:  # a matching over the members below the cap
+            order = members[rng.permutation(len(members))]
+            free = order[degree[order] < cap]
+            pairs = free[: len(free) // 2 * 2].reshape(-1, 2)
+        elif len(members) < 3:  # no draw for a ring of two members
+            pairs = members[: len(members) // 2 * 2].reshape(-1, 2)
+        else:
+            order = members[rng.permutation(len(members))]
+            pairs = np.stack([order, np.roll(order, -1)], axis=1)
+        key = _keys(pairs, len(degree))
+        old = np.sort(np.append(_keys(made, len(degree)), -1))  # -1: every key has a floor
+        pairs = pairs[old[np.searchsorted(old, key, side="right") - 1] != key]
+        np.add.at(degree, pairs.ravel(), 1)
+        made = np.concatenate([made, pairs])
+    return made
 
 
-def _add_ring(rng, members, used, edges, sign, degree) -> None:
-    """A ring through members in random order (one edge for two members),
-    skipping pairs already present; counts the new edges into degree."""
-    if len(members) < 3:
-        pairs = [(members[0], members[1])] if len(members) == 2 else []
-    else:
-        order = [members[i] for i in rng.permutation(len(members))]
-        pairs = [(u, order[(i + 1) % len(order)]) for i, u in enumerate(order)]
-    for u, v in pairs:
-        _add_edge(u, v, used, edges, sign, degree)
+def _graph(n: int, parts, degree_bound: int | None = None) -> SignedGraph:
+    """One ``from_arrays`` build of ``parts``, each an (m, 2) array of pairs
+    and their sign (one int, or an array of m), in order."""
+    pairs = np.concatenate([p for p, _ in parts])
+    sign = np.concatenate([np.broadcast_to(s, len(p)) for p, s in parts])
+    return SignedGraph.from_arrays(n, pairs[:, 0], pairs[:, 1], sign, degree_bound)
 
 
-def _add_matching(rng, members, used, edges, sign, degree, degree_cap) -> None:
-    """One random matching over members, skipping pairs already present or at
-    the degree cap. Near-perfect; odd leftovers simply stay unmatched."""
-    order = [members[i] for i in rng.permutation(len(members))]
-    free = [v for v in order if degree[v] < degree_cap]
-    for i in range(0, len(free) - 1, 2):
-        _add_edge(free[i], free[i + 1], used, edges, sign, degree)
+def _group_split(n: int, k: int) -> list[range]:
+    cuts = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+    return [range(a, b) for a, b in pairwise(cuts)]
 
 
-def _group_split(n: int, k: int) -> list[list[int]]:
-    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    groups, start = [], 0
-    for s in sizes:
-        groups.append(list(range(start, start + s)))
-        start += s
-    return groups
+def _group_ids(groups: list[range]) -> np.ndarray:
+    return np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 
 
-def _complete_groups(groups: list[list[int]]) -> list[tuple[int, int, int]]:
+def _complete_groups(groups: list[range]) -> list:
     """Complete graph over consecutive groups: positive inside each group,
     negative across. Each sign's edges come in (u, v) order."""
-    edges = []
-    for grp in groups:
-        for i, u in enumerate(grp):
-            for v in grp[i + 1:]:
-                edges.append((u, v, _PLUS))
-    for a, grp in enumerate(groups):
-        for u in grp:
-            for later in groups[a + 1:]:
-                for v in later:
-                    edges.append((u, v, _MINUS))
-    return edges
+    gid = _group_ids(groups)
+    u, v = np.triu_indices(len(gid), 1)
+    across = gid[u] != gid[v]
+    order = np.argsort(across, kind="stable")
+    return [(np.stack([u, v], axis=1)[order], across[order].astype(np.int8))]
 
 
-def _build_communities(rng, n, d, k, used, edges):
+def _build_communities(rng, n, d, k):
     """Sparse clusterable skeleton: positive rings + matchings inside groups
     (target degree d-2), one negative cross-group matching. Leaves one unit of
-    degree slack per node."""
+    degree slack per node. Returns the groups, the edge parts and the degrees."""
     groups = _group_split(n, k)
-    degree = {v: 0 for v in range(n)}
-    for g in groups:
-        _add_ring(rng, g, used, edges, _PLUS, degree)
-        for _ in range(max(0, (d - 2) - 2)):
-            _add_matching(rng, g, used, edges, _PLUS, degree, d - 2)
-    # negative matching across groups
-    gid = {}
-    for i, g in enumerate(groups):
-        for v in g:
-            gid[v] = i
-    order = rng.permutation(n).tolist()
-    free = [v for v in order if degree[v] < d - 1]
-    i = 0
-    while i + 1 < len(free):
-        u, v = free[i], free[i + 1]
-        if gid[u] != gid[v] and _add_edge(u, v, used, edges, _MINUS, degree):
-            i += 2
-        else:
-            i += 1
-    return groups, degree
+    degree = np.zeros(n, dtype=np.int64)
+    parts = [(_rings_and_matchings(rng, np.arange(g.start, g.stop), 1, d - 4, d - 2, degree),
+              _PLUS) for g in groups]
+    # negative matching across groups, greedy over the free nodes in random
+    # order: a run of neighbours in different groups pairs its 1st, 3rd, ...
+    # node with the next one
+    gid = _group_ids(groups)
+    order = rng.permutation(n)
+    free = order[degree[order] < d - 1]
+    differ = gid[free[:-1]] != gid[free[1:]]
+    at = np.arange(len(differ))
+    run_start = np.maximum.accumulate(np.where(differ, 0, at + 1))
+    first = at[differ & ((at - run_start) % 2 == 0)]
+    cross = np.stack([free[first], free[first + 1]], axis=1)
+    np.add.at(degree, cross.ravel(), 1)
+    return groups, [*parts, (cross, _MINUS)], degree
 
 
 def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
@@ -159,7 +158,7 @@ def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
     else:
         g, extra = _gen_planted_matching(spec, rng)
     meta.update(extra)
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = list(map(len, g.adj))
     meta["degree"] = {"min": min(degs), "max": max(degs), "bound": g.degree_bound}
     meta["edges"] = g.num_edges
     return g, meta
@@ -172,11 +171,8 @@ def _gen_bad_triangles(spec: GenSpec):
     if d < 2:
         raise ValueError("disjoint-bad-triangles needs degree bound >= 2")
     t = spec.n // 3
-    edges = []
-    for i in range(t):
-        a = 3 * i
-        edges += [(a, a + 1, _PLUS), (a + 1, a + 2, _PLUS), (a, a + 2, _MINUS)]
-    g = SignedGraph.from_edges(spec.n, edges, degree_bound=d)
+    pairs = (3 * np.arange(t)[:, None, None] + [[0, 1], [1, 2], [0, 2]]).reshape(-1, 2)
+    g = _graph(spec.n, [(pairs, np.tile([_PLUS, _PLUS, _MINUS], t))], d)
     extra = {
         "properties": {"balanced": t == 0, "clusterable": t == 0},
         "distance": {
@@ -197,15 +193,9 @@ def _gen_all_negative(spec: GenSpec, rng):
         raise ValueError("all-negative-regular needs 1 <= d < n")
     if spec.n * d % 2:
         raise ValueError("all-negative-regular needs n*d even")
-    used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
-    degree = {v: 0 for v in range(spec.n)}
-    members = list(range(spec.n))
-    for _ in range(d // 2):
-        _add_ring(rng, members, used, edges, _MINUS, degree)
-    if d % 2:
-        _add_matching(rng, members, used, edges, _MINUS, degree, d)
-    g = SignedGraph.from_edges(spec.n, edges, degree_bound=d)
+    degree = np.zeros(spec.n, dtype=np.int64)
+    pairs = _rings_and_matchings(rng, np.arange(spec.n), d // 2, d % 2, d, degree)
+    g = _graph(spec.n, [(pairs, _MINUS)], d)
     m = g.num_edges
     extra = {"properties": {"balanced": False if d >= 3 else None, "clusterable": True}}
     if d >= 3:
@@ -226,23 +216,16 @@ def _gen_balanced_two_side(spec: GenSpec, rng):
     half = spec.n // 2
     left, right = _group_split(spec.n, 2)
     if spec.d is None:
-        g = SignedGraph.from_edges(spec.n, _complete_groups([left, right]))
+        g = _graph(spec.n, _complete_groups([left, right]))
     else:
         if spec.d < 3:
             raise ValueError("balanced-two-side needs d >= 3 (or d=None for the dense form)")
-        used: set[tuple[int, int]] = set()
-        edges: list[tuple[int, int, int]] = []
-        degree = {v: 0 for v in range(spec.n)}
-        for side in (left, right):
-            _add_ring(rng, side, used, edges, _PLUS, degree)
-            for _ in range(max(0, (spec.d - 1) - 2)):
-                _add_matching(rng, side, used, edges, _PLUS, degree, spec.d - 1)
+        degree = np.zeros(spec.n, dtype=np.int64)
+        parts = [(_rings_and_matchings(rng, np.arange(side.start, side.stop), 1, spec.d - 3,
+                                       spec.d - 1, degree), _PLUS) for side in (left, right)]
         # one negative perfect matching across the sides
-        perm = rng.permutation(half)
-        for i, u in enumerate(left):
-            v = right[perm[i]]
-            edges.append((u, v, _MINUS))
-        g = SignedGraph.from_edges(spec.n, edges, degree_bound=spec.d)
+        across = np.stack([np.arange(half), half + rng.permutation(half)], axis=1)
+        g = _graph(spec.n, [*parts, (across, _MINUS)], spec.d)
     extra = {
         "properties": {"balanced": True, "clusterable": True},
         "distance": {
@@ -252,7 +235,7 @@ def _gen_balanced_two_side(spec: GenSpec, rng):
             "kind": "exact",
             "note": "balanced by construction: positive inside sides, negative across",
         },
-        "sides": [left, right],
+        "sides": [list(left), list(right)],
     }
     return g, extra
 
@@ -263,15 +246,14 @@ def _gen_communities(spec: GenSpec, rng):
         raise ValueError("clusterable-communities needs 1 <= k <= n")
     if spec.d is None:
         groups_out = _group_split(spec.n, k)
-        g = SignedGraph.from_edges(spec.n, _complete_groups(groups_out))
+        g = _graph(spec.n, _complete_groups(groups_out))
     else:
         if spec.d < 4:
             raise ValueError("clusterable-communities needs d >= 4 (or d=None for the dense form)")
         if spec.n // k < 3:
             raise ValueError("clusterable-communities needs groups of size >= 3")
-        edges: list[tuple[int, int, int]] = []
-        groups_out, _ = _build_communities(rng, spec.n, spec.d, k, set(), edges)
-        g = SignedGraph.from_edges(spec.n, edges, degree_bound=spec.d)
+        groups_out, parts, _ = _build_communities(rng, spec.n, spec.d, k)
+        g = _graph(spec.n, parts, spec.d)
     extra = {
         "properties": {"balanced": None, "clusterable": True},
         "distance": {
@@ -301,29 +283,31 @@ def _gen_planted_matching(spec: GenSpec, rng):
     target = int(pf * d * spec.n)
     if target < 1:
         raise ValueError("planted_fraction too small: no edges to plant")
-    used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
-    groups, degree = _build_communities(rng, spec.n, d, k, used, edges)
-    planted = 0
+    n = spec.n
+    groups, parts, degree = _build_communities(rng, n, d, k)
+    made = set(_keys(np.concatenate([p for p, _ in parts]), n).tolist())
+    degree = degree.tolist()
+    # a planted edge joins two nodes that no planted edge touches yet, so
+    # neither degree nor the pairs made change inside the loop
+    pairs: list[tuple[int, int]] = []
     planted_nodes: set[int] = set()
     attempts = 0
-    while planted < target and attempts < 50 * target:
+    while len(pairs) < target and attempts < 50 * target:
         attempts += 1
         grp = groups[int(rng.integers(len(groups)))]
-        u, v = (int(x) for x in rng.choice(len(grp), size=2, replace=False))
-        u, v = grp[u], grp[v]
-        if u in planted_nodes or v in planted_nodes or degree[u] >= d or degree[v] >= d:
-            continue
-        if not _add_edge(u, v, used, edges, _MINUS, degree):
+        u, v = (grp[int(x)] for x in rng.choice(len(grp), size=2, replace=False))
+        if (u in planted_nodes or v in planted_nodes or degree[u] >= d or degree[v] >= d
+                or min(u, v) * n + max(u, v) in made):
             continue
         planted_nodes.update((u, v))
-        planted += 1
+        pairs.append((u, v))
+    planted = len(pairs)
     if planted < target:
         raise ValueError(
             f"could not place {target} planted negative edges (placed {planted}); "
             "lower planted_fraction or raise the group size"
         )
-    g = SignedGraph.from_edges(spec.n, edges, degree_bound=d)
+    g = _graph(n, [*parts, (np.array(pairs, dtype=np.int64).reshape(-1, 2), _MINUS)], d)
     extra = {
         "properties": {"balanced": False, "clusterable": False},
         "distance": {

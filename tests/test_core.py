@@ -114,6 +114,20 @@ class TestSignedGraphConstruction:
         g = make_graph(1, [])
         assert g.n == 1 and g.num_edges == 0
 
+    @pytest.mark.parametrize("u,v,sign", [
+        ([0.0], [1], [0]), ([0], [1], [True]), ([[0]], [[1]], [[0]]), ([0, 1], [1], [0]),
+    ], ids=["float", "bool", "2-d", "lengths"])
+    def test_from_arrays_takes_three_integer_arrays_of_one_length(self, u, v, sign):
+        with pytest.raises(GraphFormatError, match="three 1-d integer arrays"):
+            SignedGraph.from_arrays(3, np.array(u), np.array(v), np.array(sign))
+
+    def test_from_arrays_shares_one_entry_tuple_per_neighbour_and_sign(self):
+        g = SignedGraph.from_arrays(300, [0, 1, 0, 2], [299, 299, 1, 299], [1, 1, 0, 0])
+        assert g == make_graph(300, [(0, 299, 1), (1, 299, 1), (0, 1, 0), (2, 299, 0)])
+        assert g.adj[0][0] is g.adj[1][0] and g.adj[0][0][0] is g.adj[2][0][0]
+        none = np.array([], dtype=np.int8)
+        assert SignedGraph.from_arrays(2, none, none, none).adj == ((), ())
+
     @pytest.mark.parametrize(
         "sign, stored",
         [

@@ -13,12 +13,14 @@ from unittest import mock
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedtest import bounded_testers as bt
 from signedtest import dense_testers as dt
 from signedtest.core import (
+    GraphFormatError,
     Sign,
     SignedGraph,
     WitnessKind,
@@ -55,6 +57,30 @@ def edge_lists(draw, min_nodes=1):
             u, v = v, u
         edges.append((u, v, draw(st.sampled_from(SIGN_FORMS))))
     return n, edges
+
+
+@st.composite
+def corrupted_edge_lists(draw):
+    """(n, edges, degree_bound): a valid list of int-signed edges with up to
+    three bad ones inserted anywhere (an endpoint out of range, a self-loop,
+    a pair already listed, a sign other than 0 or 1), and a bound that may be
+    below the maximum degree."""
+    n, edges = draw(edge_lists())
+    edges = [(u, v, _stored(s)) for u, v, s in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        w = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["endpoint", "loop", "duplicate", "sign"]))
+        if kind == "endpoint":
+            bad = (w, draw(st.sampled_from([-1, n, n + 7])), 0)
+        elif kind == "loop":
+            bad = (w, w, 1)
+        elif kind == "duplicate" and edges:
+            u, v, s = draw(st.sampled_from(edges))
+            bad = (v, u, 1 - s) if draw(st.booleans()) else (u, v, s)
+        else:
+            bad = (w, (w + 1) % n, draw(st.sampled_from([-1, 2, 255])))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges, draw(st.none() | st.integers(1, 6))
 
 
 def _rows(n, edges):
@@ -251,3 +277,19 @@ def test_triangle_and_dense_balance_testers_are_one_sided_and_their_witnesses_ho
     check()
     # the witness checks above ran on all three testers
     assert min(rejects[k] for k in ("dense triangle", "bounded triangle", "dense balance")) > 0
+
+
+@FUZZ
+@given(corrupted_edge_lists())
+def test_from_arrays_builds_or_rejects_as_from_edges_does(case):
+    n, edges, bound = case
+    cols = [np.array([e[i] for e in edges], dtype=np.int64) for i in range(3)]
+    try:
+        want = SignedGraph.from_edges(n, edges, bound)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            SignedGraph.from_arrays(n, *cols, bound)
+        assert str(got.value) == str(exc)
+        return
+    got = SignedGraph.from_arrays(n, *cols, bound)
+    assert got == want and repr(got.adj) == repr(want.adj)

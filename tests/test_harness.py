@@ -519,3 +519,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {flag} only applies to --family\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "all-negative-regular", "--n", "10", "--d", "3", "--seed", "-1"],
+        ["test", "--family", "all-negative-regular", "--n", "10", "--d", "3", "--gen-seed", "-1",
+         "--model", "bounded", "--property", "balance", "--eps", "0.5", "--trials", "1"],
+    ], ids=["gen", "test"])
+    def test_negative_generator_seed_is_a_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.sgl"
+        rc = cli.main([*argv, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
