@@ -172,13 +172,9 @@ def _contract_to_g_cycle(cyc: list[int], n: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 def read_whole_graph(o: BoundedDegreeOracle) -> SignedGraph:
-    """Reconstruct the graph by probing every adjacency list (<= N*d queries)."""
-    edges = []
-    for v in range(o.n):
-        for u, sign in o.neighbors(v):
-            if v < u:
-                edges.append((v, u, sign))
-    return SignedGraph.from_edges(o.n, edges, degree_bound=o.d)
+    """The graph behind o, row for row, read through ``o.neighbors``: node v
+    costs min(deg(v) + 1, d) queries, so the whole read at most N*d."""
+    return SignedGraph(o.n, tuple(tuple(o.neighbors(v)) for v in range(o.n)), o.d)
 
 
 def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedConstants,

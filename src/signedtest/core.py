@@ -4,10 +4,11 @@ A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
 immutable ``SignedGraph`` defined here. ``SignedGraph.from_arrays`` builds one
 from (u, v, sign) integer arrays with vectorized checks and one pass over
-the rows; the generators use it. ``SignedGraph.from_edges`` takes any
-iterable of edge tuples, with a Python loop that is about ten times
-cheaper on a graph of a few nodes; files, tests and whole-graph reads use
-it.
+the rows; the generators and the ``.sgl`` loader use it.
+``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
+loop that is about ten times cheaper on a graph of a few nodes; tests and
+hand-written lists use it, and ``from_arrays`` calls it only to word a
+rejection. A whole-graph read keeps the rows it reads and calls neither.
 """
 
 from __future__ import annotations
@@ -274,10 +275,8 @@ def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
         edges.append((u, v, s))
     if len(edges) != m:
         raise GraphFormatError(f"declared {m} edges but found {len(edges)}")
-    try:
-        return SignedGraph.from_edges(n, edges, degree_bound)
-    except GraphFormatError as exc:
-        raise GraphFormatError(str(exc)) from None
+    u, v, s = np.array(edges, dtype=np.int64).reshape(m, 3).T
+    return SignedGraph.from_arrays(n, u, v, s, degree_bound)
 
 
 def save_edge_list(g: SignedGraph, dest: str | Path | TextIO) -> None:

@@ -326,7 +326,9 @@ def test_clusterability_dense(o: DenseOracle, eps: float, seed,
     forbidden substructure)."""
     if o.n < 2:
         raise ValueError("clusterability testing needs N >= 2")
-    if eps >= 1.0:
+    if not 0 < eps <= 1:
+        raise ValueError("eps must be in (0, 1]")
+    if eps == 1.0:
         # every graph is 1-close to clusterable (delete all edges)
         return Verdict(True, queries_used=0, details={"estimate": 0.0, "threshold": None})
     est, used, full_read = _estimate_weak_frustration(o, eps, seed, constants)

@@ -453,6 +453,7 @@ class TestReadWholeGraph:
         o = _oracle(g)
         h = bt.read_whole_graph(o)
         assert list(h.edges()) == list(g.edges())
+        assert h == g and h.adj == g.adj
         assert o.query_count == sum(min(g.degree(v) + 1, g.degree_bound) for v in range(g.n))
 
 

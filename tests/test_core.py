@@ -227,14 +227,23 @@ class TestEdgeListFormat:
             ("3 1\n0 1 ?\n", "sign token"),
             ("3 1\n0 1\n", "expected"),
             ("3 2\n0 1 +\n0 1 -\n", "duplicate"),
+            ("3 2\n0 1 +\n0 2 -\n", "degree 2 > bound 1"),
             ("3 1\n0 1 +\n1 2 -\n", "more than"),
             ("3 2\n0 1 +\n", "declared 2"),
             ("2 1\na b +\n", "integers"),
         ],
     )
     def test_parse_errors(self, text, fragment):
+        # the bound of 1 changes no other case's message
         with pytest.raises(GraphFormatError, match=fragment):
-            load_edge_list(io.StringIO(text))
+            load_edge_list(io.StringIO(text), degree_bound=1)
+
+    def test_unsorted_lines_keep_file_order_in_rows(self):
+        edges = [(3, 4, 1), (0, 2, 0), (1, 3, 0), (0, 1, 1), (2, 4, 0), (1, 2, 1)]
+        text = "5 6\n" + "".join(f"{u} {v} {'+-'[s]}\n" for u, v, s in edges)
+        g = load_edge_list(io.StringIO(text), degree_bound=3)
+        built = SignedGraph.from_edges(5, edges, degree_bound=3)
+        assert g == built and g.adj == built.adj
 
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
@@ -357,6 +366,7 @@ class TestAdjacencyNotTracked:
         g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 30, seed=1, d=6, k=3))
         whole = read_whole_graph(BoundedDegreeOracle(g))
         assert list(whole.edges()) == list(g.edges())
+        assert whole == g and whole.adj == g.adj
         _assert_adjacency_untracked(whole)
         dense, _ = generate(GenSpec(BALANCED_TWO_SIDE, 20, seed=1))
         o = DenseOracle(dense)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from signedtest.generators import (
 )
 from signedtest.oracles import DenseOracle, _chunked_integers
 
-from conftest import all_signed_graphs, make_graph, random_signed_graph
+from conftest import all_signed_graphs, make_graph, random_signed_graph, triangle
 
 PPM = (Sign.PLUS, Sign.PLUS, Sign.MINUS)
 
@@ -231,6 +232,13 @@ class TestClusterabilityDense:
         o = DenseOracle(g)
         v = dt.test_clusterability_dense(o, 1.0, 0)
         assert v.accept and v.queries_used == 0 and o.query_count == 0
+
+    @pytest.mark.parametrize("eps", [1.5, math.inf])
+    def test_eps_above_one_raises(self, eps):
+        o = DenseOracle(triangle(Sign.PLUS, Sign.PLUS, Sign.MINUS))
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\]"):
+            dt.test_clusterability_dense(o, eps, 0)
+        assert o.query_count == 0
 
     def test_clusterable_accepts(self):
         g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 60, k=2))
