@@ -227,16 +227,18 @@ class TestEdgeListFormat:
             ("3 1\n0 1 ?\n", "sign token"),
             ("3 1\n0 1\n", "expected"),
             ("3 2\n0 1 +\n0 1 -\n", "duplicate"),
-            ("3 2\n0 1 +\n0 2 -\n", "degree 2 > bound 1"),
             ("3 1\n0 1 +\n1 2 -\n", "more than"),
             ("3 2\n0 1 +\n", "declared 2"),
             ("2 1\na b +\n", "integers"),
         ],
     )
     def test_parse_errors(self, text, fragment):
-        # the bound of 1 changes no other case's message
         with pytest.raises(GraphFormatError, match=fragment):
-            load_edge_list(io.StringIO(text), degree_bound=1)
+            load_edge_list(io.StringIO(text))
+
+    def test_parse_error_degree_over_bound(self):
+        with pytest.raises(GraphFormatError, match="degree 2 > bound 1"):
+            load_edge_list(io.StringIO("3 2\n0 1 +\n0 2 -\n"), degree_bound=1)
 
     def test_unsorted_lines_keep_file_order_in_rows(self):
         edges = [(3, 4, 1), (0, 2, 0), (1, 3, 0), (0, 1, 1), (2, 4, 0), (1, 2, 1)]
