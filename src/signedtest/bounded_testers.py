@@ -15,10 +15,10 @@ first visit, and stops at the first negative edge into the visited set.
 
 Both walk searches draw a start's randomness for all its walks in chunks.
 The balance search then advances a start's walks together, a group at a
-time, with one batch oracle read (``query_batch``) per step, and replays the
-group that collides in walk order: its decisions, witnesses and accept costs
-are those of running the walks one after another, and a reject also pays for
-the rest of its last group.
+time, with one batch oracle read (``query_batch``) per step, and reads the
+first collision in walk order off the group that collides: its decisions,
+witnesses and accept costs are those of running the walks one after another,
+and a reject also pays for the rest of its last group.
 
 All three testers here are one-sided; every Reject carries a verifiable
 witness. When eps >= 1 or the walk budget would exceed the N*d cost of just
@@ -123,28 +123,8 @@ def sample_gprime_node(o: BoundedDegreeOracle, rng) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# witness extraction helpers
+# witness contraction
 # ---------------------------------------------------------------------------
-
-def _extract_odd_cycle(closed_walk: list[int]) -> list[int]:
-    """Reduce a closed odd walk (first == last) to a simple odd cycle by
-    repeatedly splitting at a repeated vertex and keeping the odd half."""
-    cyc = closed_walk[:-1]
-    assert len(cyc) % 2 == 1
-    while True:
-        seen: dict[int, int] = {}
-        rep = None
-        for idx, v in enumerate(cyc):
-            if v in seen:
-                rep = (seen[v], idx)
-                break
-            seen[v] = idx
-        if rep is None:
-            return cyc
-        i, j = rep
-        inner = cyc[i:j]
-        cyc = inner if (j - i) % 2 == 1 else cyc[:i] + cyc[j:]
-
 
 def _contract_to_g_cycle(cyc: list[int], n: int) -> Witness:
     """Map a simple odd G2 cycle of an n-node G to the corresponding G
@@ -367,10 +347,11 @@ def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None
     The walks run in lockstep blocks (_walk_blocks, _lockstep). A start
     collides exactly when the states its walks visit hold both parities of
     one node, in whatever order the walks run, so each block is checked once
-    it has run. The block that collides is replayed in walk order, which
-    finds the collision and the witness that walking one walk after another
-    finds. Decisions, witnesses and accept costs are those of that order; a
-    reject pays for every step of its last block."""
+    it has run. In walk order, the first collision is the earliest first
+    arrival of a state whose other parity arrived before it, which the
+    colliding block's first-arrival indices give. Decisions, witnesses and
+    accept costs are those of walking one walk after another; a reject pays
+    for every step of its last block."""
     s = _draw_start(o, rng)
     if s is None:
         return None
@@ -384,32 +365,26 @@ def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None
         new, first = np.unique(flat, return_index=True)
         fresh = ~_in_sorted(seen, new)
         new, first = new[fresh], first[fresh]
+        walk, step = np.divmod(first, visits.shape[1])
+        came = np.where(step > 0, flat[first - 1], before[walk])
         at = np.searchsorted(seen, new)
         merged = np.insert(seen, at, new)
         if _in_sorted(merged, new ^ 1).any():
-            return _first_collision(o.n, seen, came_from, before, visits)
-        walk, step = np.divmod(first, visits.shape[1])
-        came_from = np.insert(came_from, at, np.where(step > 0, flat[first - 1], before[walk]))
+            # the other parity's first arrival: -1 before the block, none
+            # (flat.size) when it never came; the later of the two collides
+            other = np.minimum(np.searchsorted(new, new ^ 1), len(new) - 1)
+            arrived = np.where(_in_sorted(seen, new ^ 1), -1,
+                               np.where(new[other] == new ^ 1, first[other], flat.size))
+            state = int(flat[np.maximum(first, arrived).min()])
+            parent = dict(zip(seen.tolist() + new.tolist(), came_from.tolist() + came.tolist()))
+            parent[2 * s] = None
+            up, down = exact.forest_paths(parent, state, state ^ 1)
+            # no node held both parities before state arrived, so the two
+            # paths share only its node, at their ends: a simple odd cycle
+            return _contract_to_g_cycle([x >> 1 for x in up + down[::-1]][:-1], o.n)
+        came_from = np.insert(came_from, at, came)
         seen = merged
     return None
-
-
-def _first_collision(n: int, seen, came_from, before, visits) -> Witness:
-    """Replay a colliding block's walks one after another on the first-arrival
-    forest of the states seen before it, up to the first move whose node was
-    reached before with the other parity; the forest paths of the two states
-    close an odd walk, reduced to a simple odd cycle."""
-    parent = {st: None if f < 0 else f for st, f in zip(seen.tolist(), came_from.tolist())}
-    for prev, row in zip(before.tolist(), visits.tolist()):
-        for state in row:
-            if state != prev:
-                parent.setdefault(state, prev)
-                if state ^ 1 in parent:
-                    up, down = exact.forest_paths(parent, state, state ^ 1)
-                    closed = [t >> 1 for t in up + down[::-1]]
-                    return _contract_to_g_cycle(_extract_odd_cycle(closed), n)
-            prev = state
-    raise AssertionError("the block holds no collision")
 
 
 def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
@@ -419,9 +394,8 @@ def test_balance_bounded(o: BoundedDegreeOracle, eps: float, seed,
     Testing eps-balancedness of G reduces to testing eps/(d+1)-bipartiteness
     of G2. Parity counts actual moves (lazy self-loops leave path length
     unchanged). A (node, parity) collision joins the two first-arrival
-    paths at their common ancestor (``exact.forest_paths``) into a closed odd
-    walk, which is reduced to a simple odd G2 cycle and contracted to a G
-    cycle with an odd number of negative edges.
+    paths at their common ancestor (``exact.forest_paths``) into a simple odd
+    G2 cycle, contracted to a G cycle with an odd number of negative edges.
     """
     return _walk_tester(
         o, eps, seed, constants, balance_walk_schedule, balance_budget,

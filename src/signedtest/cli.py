@@ -244,9 +244,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # ArithmeticError: finite but extreme values (--eps 1e-300, --c2 1e308)
-        # whose budgets overflow or divide by zero
+        # whose budgets overflow or divide by zero; MemoryError: sizes whose
+        # arrays cannot be allocated (an .sgl header or --n of 10^15)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

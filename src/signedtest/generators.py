@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from . import exact
 from .core import Sign, SignedGraph
 
 _PLUS, _MINUS = int(Sign.PLUS), int(Sign.MINUS)  # edge lists hold plain ints, see Sign
@@ -197,8 +198,10 @@ def _gen_all_negative(spec: GenSpec, rng):
     pairs = _rings_and_matchings(rng, np.arange(spec.n), d // 2, d % 2, d, degree)
     g = _graph(spec.n, [(pairs, _MINUS)], d)
     m = g.num_edges
-    extra = {"properties": {"balanced": False if d >= 3 else None, "clusterable": True}}
-    if d >= 3:
+    # small draws are often bipartite, so balanced: check before certifying
+    balanced = exact.is_balanced(g).balanced if d >= 3 else None
+    extra = {"properties": {"balanced": balanced, "clusterable": True}}
+    if balanced is False:
         lb = max(1, int(0.05 * m))
         extra["distance"] = {
             "property": "balance",

@@ -288,8 +288,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_scaling(cfg: ExperimentConfig, n_list: list[int]) -> dict:
     """Per-N experiments plus a log-log least-squares exponent fit."""
-    if len(n_list) < 3:
-        raise ValueError("need >= 3 points for a scaling fit")
+    if len(set(n_list)) < 3:
+        raise ValueError("need >= 3 points at distinct sizes for a scaling fit")
     if not isinstance(cfg.instance, GenSpec):
         raise ValueError("scaling runs need a generated instance family")
     points = []

@@ -66,8 +66,9 @@ def parity_search_walking_one_walk_at_a_time(o, p, rng):
             parent.setdefault(state, prev)
             if state ^ 1 in parent:
                 up, down = forest_paths(parent, state, state ^ 1)
-                closed = [t >> 1 for t in up + down[::-1]]
-                return bt._contract_to_g_cycle(bt._extract_odd_cycle(closed), o.n)
+                cyc = [t >> 1 for t in up + down[::-1]][:-1]
+                assert len(set(cyc)) == len(cyc), "the closed walk repeats a node"
+                return bt._contract_to_g_cycle(cyc, o.n)
     return None
 
 

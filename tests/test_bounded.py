@@ -211,19 +211,7 @@ class TestSampleGPrimeNode:
         assert p >= 0.01, (counts, p)
 
 
-class TestOddCycleExtraction:
-    def test_already_simple(self):
-        walk = [0, 1, 2, 0]
-        cyc = bt._extract_odd_cycle(walk)
-        assert cyc == [0, 1, 2]
-
-    def test_strips_even_detour(self):
-        # 0-1-2-1-... detour (even) collapses away, leaving the odd core
-        a, b, c, e = 0, 1, 2, 3
-        walk = [a, b, e, b, c, a]  # edges: a-b, b-e, e-b, b-c, c-a (5 edges, odd)
-        cyc = bt._extract_odd_cycle(walk)
-        assert cyc == [a, b, c]
-
+class TestCycleContraction:
     def test_contract_five_cycle_to_triangle(self):
         cyc = [0, midpoint(3, 0, 1), 1, midpoint(3, 1, 2), 2]
         w = bt._contract_to_g_cycle(cyc, 3)

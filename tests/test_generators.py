@@ -250,6 +250,13 @@ class TestFamilyProperties:
         assert meta["distance"]["property"] == "balance"
         assert meta["degree"]["min"] >= 1
 
+    def test_all_negative_bipartite_draw_is_balanced(self):
+        # a small draw that misses every odd cycle certifies no balance distance
+        g, meta = generate(GenSpec(ALL_NEGATIVE_REGULAR, 4, seed=0, d=3))
+        assert exact.is_balanced(g).balanced
+        assert meta["properties"]["balanced"] is True
+        assert "distance" not in meta
+
     @pytest.mark.parametrize("seed", range(20))
     def test_all_negative_small_meets_claimed_margin(self, seed):
         # exact cross-check of the construction-backed bound at a brute-forceable size

@@ -222,6 +222,12 @@ class TestRunScaling:
         with pytest.raises(ValueError, match=">= 3 points"):
             run_scaling(self.cfg(), [100, 200])
 
+    # a repeated size adds no point to the fit: [30, 30, 30] is rank-deficient
+    @pytest.mark.parametrize("n_list", [[30, 30, 30], [100, 100, 200]])
+    def test_needs_three_distinct_sizes(self, n_list):
+        with pytest.raises(ValueError, match=">= 3 points"):
+            run_scaling(self.cfg(), n_list)
+
     def test_needs_genspec(self, tmp_path):
         g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 30))
         path = tmp_path / "g.sgl"
@@ -320,6 +326,24 @@ class TestCli:
         rc = cli.main(["exact", "--in", str(out), "--check", *check])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # 10^15 nodes ask for petabytes, past any address space, so the first
+    # array fails at once; sizes that fit the address space but not memory
+    # are left out, as the kernel may kill the process instead
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--in", "{huge}", "--check", "balance"],
+        ["gen", "--family", "disjoint-bad-triangles", "--n", "1000000000000000",
+         "--out", "{out}"],
+    ], ids=["exact-sgl-header", "gen-n"])
+    def test_unallocatable_size_is_a_one_line_error(self, tmp_path, capsys, argv):
+        huge = tmp_path / "huge.sgl"
+        huge.write_text("1000000000000000 0\n")
+        out = tmp_path / "g.sgl"
+        rc = cli.main([a.format(huge=huge, out=out) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_test_subcommand_report(self, tmp_path):
         rep_path = tmp_path / "r.json"
@@ -449,6 +473,15 @@ class TestCli:
                        "--out", str(tmp_path / "b.json")])
         assert rc == 1
         assert ">= 3 points" in capsys.readouterr().err
+
+    def test_bench_rejects_repeated_sizes(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        rc = cli.main(["bench", "--model", "bounded", "--property", "triangle",
+                       "--eps", "0.5", "--family", "disjoint-bad-triangles",
+                       "--n-list", "30,30,30", "--trials", "2", "--out", str(out)])
+        assert rc == 1
+        assert ">= 3 points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_writes_table_and_csv(self, tmp_path):
         out = tmp_path / "b.json"
