@@ -4,7 +4,9 @@ A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
 immutable ``SignedGraph`` defined here. ``SignedGraph.from_arrays`` builds one
 from (u, v, sign) integer arrays with vectorized checks and one pass over
-the rows; the generators and the ``.sgl`` loader use it.
+the rows; the generators and the ``.sgl`` loader use it. The loader reads a
+file in the plain form ``save_edge_list`` writes in one vectorized pass, and
+any other file line by line, naming the line at fault.
 ``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
 loop that is about ten times cheaper on a graph of a few nodes; tests and
 hand-written lists use it, and ``from_arrays`` calls it only to word a
@@ -14,6 +16,7 @@ rejection. A whole-graph read keeps the rows it reads and calls neither.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -218,7 +221,8 @@ def validate(g: SignedGraph) -> str | None:
 # Edge-list file format
 #
 # Header line "n m", then m lines "u v s" with 0 <= u < v < n and s in {+,-}.
-# '#' starts a comment, blank lines are ignored, encoding is UTF-8 with LF.
+# '#' starts a comment, blank lines are ignored, encoding is UTF-8 with LF
+# (a leading byte-order mark is dropped).
 # ---------------------------------------------------------------------------
 
 
@@ -230,14 +234,38 @@ def _data_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
 
 
 def load_edge_list(source: str | Path | TextIO, degree_bound: int | None = None) -> SignedGraph:
-    """Parse a .sgl edge list from a path or an open text stream."""
+    """Parse a .sgl edge list from a path or an open text stream; a leading
+    UTF-8 byte-order mark is dropped."""
     if hasattr(source, "read"):
-        return _parse(source, degree_bound)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8") as fh:
-        return _parse(fh, degree_bound)
+        text = source.read().removeprefix("\ufeff")  # type: ignore[union-attr]
+        return _parse(text, degree_bound)
+    with open(source, "r", encoding="utf-8-sig") as fh:
+        return _parse(fh.read(), degree_bound)
 
 
-def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
+# The plain form, as save_edge_list writes it: the header, then one "u v s"
+# line per edge, single spaces, every line ending in LF, no comment or blank
+# line. With at most 18 digits, every number fits int64.
+_PLAIN = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18} [+-]\n)*)")
+_SIGN_DIGITS = str.maketrans("+-", "01")
+
+
+def _parse(text: str, degree_bound: int | None) -> SignedGraph:
+    """A plain text with m lines, n >= 1 and 0 <= u < v < n on each line is
+    built at once; any other text goes to the line reader, which names the
+    line at fault. Both hand the same arrays to from_arrays."""
+    plain = _PLAIN.fullmatch(text)
+    if plain:
+        n, m, body = int(plain[1]), int(plain[2]), plain[3]
+        if n >= 1 and body.count("\n") == m:
+            cols = np.fromstring(body.translate(_SIGN_DIGITS), dtype=np.int64, sep=" ")
+            u, v, s = cols.reshape(m, 3).T
+            if (u < v).all() and (v < n).all():
+                return SignedGraph.from_arrays(n, u, v, s, degree_bound)
+    return _read_lines(io.StringIO(text), degree_bound)
+
+
+def _read_lines(stream: TextIO, degree_bound: int | None) -> SignedGraph:
     lines = _data_lines(stream)
     try:
         lineno, header = next(lines)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import gc
 import io
 
@@ -246,6 +247,14 @@ class TestEdgeListFormat:
         g = load_edge_list(io.StringIO(text), degree_bound=3)
         built = SignedGraph.from_edges(5, edges, degree_bound=3)
         assert g == built and g.adj == built.adj
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        for text in (SAMPLE, "# c\n" + SAMPLE):
+            (tmp_path / "g.sgl").write_bytes(text.encode())
+            (tmp_path / "bom.sgl").write_bytes(codecs.BOM_UTF8 + text.encode())
+            want = load_edge_list(tmp_path / "g.sgl")
+            assert load_edge_list(tmp_path / "bom.sgl") == want
+            assert load_edge_list(io.StringIO("\ufeff" + text)) == want
 
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):

@@ -1,11 +1,13 @@
 """Differential fuzzing on random signed edge lists with at most 10 nodes.
 
 Each property compares the library with a reference that shares none of its
-code: the edge list as drawn, a networkx graph, or a plain re-parse.
+code: the edge list as drawn, a networkx graph, or a plain re-parse; the .sgl
+loader is compared with its own line reader, which every text could take.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 from collections import Counter
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedtest import bounded_testers as bt
+from signedtest import core
 from signedtest import dense_testers as dt
 from signedtest.core import (
     GraphFormatError,
@@ -293,3 +296,110 @@ def test_from_arrays_builds_or_rejects_as_from_edges_does(case):
         return
     got = SignedGraph.from_arrays(n, *cols, bound)
     assert got == want and repr(got.adj) == repr(want.adj)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# departures from the plain form that the line reader accepts, each made to
+# one line or to the whole text; made in this order, they compose
+_LINE_DEPARTURES = {
+    "leading zero": "0{}".format,
+    "twenty zeros": ("0" * 20 + "{}").format,
+    "plus sign": "+{}".format,
+    "arabic-indic digits": lambda line: line.translate(_ARABIC_INDIC),
+    "tab": lambda line: line.replace(" ", "\t", 1),
+    "double space": lambda line: line.replace(" ", "  ", 1),
+    "trailing space": "{} ".format,
+    "trailing comment": "{} # note".format,
+    "indent": "\t{}".format,
+    "blank lines": " \n\n{}".format,
+    "comment line": "# comment\n{}".format,
+}
+_TEXT_DEPARTURES = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no final newline": lambda text: text[:-1],
+}
+
+
+@st.composite
+def sgl_texts(draw, corrupt=False):
+    """(text, degree_bound, plain): an edge list of edge_lists() as .sgl text,
+    lines in the drawn order. A plain text is in the form save_edge_list
+    writes; the others make up to four departures from it. With corrupt, one
+    damage (bad sign, missing or extra field, u >= v, endpoint >= n, a
+    repeated pair, a degree over the bound, a wrong count of lines) makes
+    the line reader reject the text."""
+    n, edges = draw(edge_lists(min_nodes=2 if corrupt else 1))
+    rows = [[min(u, v), max(u, v), "+-"[_stored(s)]] for u, v, s in edges]
+    m = len(rows)
+    degree = max(Counter(x for r in rows for x in r[:2]).values(), default=0)
+    bound = draw(st.none() | st.integers(max(degree, 1), max(degree, 1) + 2))
+    if corrupt:
+        kinds = ["sign", "field", "order", "range", "count", "line past the count"]
+        kinds += ["repeat"] * bool(rows) + ["degree"] * (degree >= 2)
+        kind = draw(st.sampled_from(kinds))
+        w = draw(st.integers(0, n - 2))
+        if kind == "count":
+            m += draw(st.sampled_from([-1, 1, 2]))
+        elif kind == "line past the count":
+            rows.append([w, w + 1, "+ # past the count"])
+        elif kind == "degree":
+            bound = degree - 1
+        else:
+            bad = {
+                "sign": lambda: [w, w + 1, draw(st.sampled_from(["?", "0", "1", "+-", "plus"]))],
+                "field": lambda: draw(st.sampled_from([[w, w + 1], [w, "-"], [w, w + 1, "+", w]])),
+                "order": lambda: [w + draw(st.integers(0, 1)), w, "-"],
+                "range": lambda: [w, n + draw(st.sampled_from([0, 1, 3, 10**20])), "+"],
+                "repeat": lambda: [*draw(st.sampled_from(rows))[:2], draw(st.sampled_from("+-"))],
+            }[kind]()
+            rows.insert(draw(st.integers(0, len(rows))), bad)
+            m += 1
+    lines = [" ".join(map(str, line)) for line in [[n, m], *rows]]
+    names = draw(st.sets(st.sampled_from([*_LINE_DEPARTURES, *_TEXT_DEPARTURES]), max_size=4))
+    for name, depart in _LINE_DEPARTURES.items():
+        if name in names:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = depart(lines[i])
+    text = "\n".join(lines) + "\n"
+    for name, depart in _TEXT_DEPARTURES.items():
+        if name in names:
+            text = depart(text)
+    return text, bound, not names
+
+
+@pytest.fixture(scope="module")
+def sgl_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("sgl") / "g.sgl"
+
+
+def _line_reader(path, bound):
+    """The graph the line reader alone builds from the file, or its error."""
+    with open(path, encoding="utf-8") as fh:
+        return core._read_lines(fh, bound)
+
+
+@FUZZ
+@given(case=sgl_texts())
+def test_load_edge_list_builds_what_the_line_reader_builds(sgl_path, case):
+    text, bound, plain = case
+    sgl_path.write_bytes(text.encode())
+    want = _line_reader(sgl_path, bound)
+    # a plain text never reaches the line reader
+    skip_lines = mock.patch.object(core, "_data_lines", side_effect=AssertionError("line reader"))
+    with skip_lines if plain else contextlib.nullcontext():
+        got = [load_edge_list(sgl_path, bound), load_edge_list(io.StringIO(text), bound)]
+    for g in got:
+        assert g == want and repr(g.adj) == repr(want.adj)
+
+
+@FUZZ
+@given(case=sgl_texts(corrupt=True))
+def test_load_edge_list_rejects_what_the_line_reader_rejects(sgl_path, case):
+    text, bound, _ = case
+    sgl_path.write_bytes(text.encode())
+    with pytest.raises(GraphFormatError) as want:
+        _line_reader(sgl_path, bound)
+    for source in (sgl_path, io.StringIO(text)):
+        with pytest.raises(GraphFormatError) as got:
+            load_edge_list(source, bound)
+        assert str(got.value) == str(want.value)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
-from signedtest import exact
-from signedtest.core import dumps_edge_list, validate
+from signedtest import core, exact
+from signedtest.core import SignedGraph, dumps_edge_list, load_edge_list, save_edge_list, validate
 from signedtest.generators import (
     ALL_NEGATIVE_REGULAR,
     BALANCED_TWO_SIDE,
@@ -195,6 +196,17 @@ class TestDeterminismAndValidity:
             g1, _ = generate(spec)
             g2, _ = generate(spec)
             assert dumps_edge_list(g1) == dumps_edge_list(g2), spec.family
+
+    def test_saved_instances_load_without_the_line_reader(self, tmp_path, monkeypatch):
+        # save_edge_list writes the plain form, which the loader builds whole
+        monkeypatch.setattr(core, "_data_lines", mock.Mock(side_effect=AssertionError))
+        specs = _sample_specs(seed=5)
+        assert {spec.family for spec in specs} == set(FAMILIES)
+        for spec in specs:
+            g, _ = generate(spec)
+            save_edge_list(g, tmp_path / "g.sgl")
+            back = load_edge_list(tmp_path / "g.sgl", g.degree_bound)
+            assert back == SignedGraph.from_edges(g.n, g.edges(), g.degree_bound), spec
 
     def test_different_seeds_differ(self):
         # fixed-layout families (bad triangles, the complete dense forms) are
