@@ -280,6 +280,8 @@ def _read_lines(stream: TextIO, degree_bound: int | None) -> SignedGraph:
         raise GraphFormatError(f"line {lineno}: header must be two integers") from None
     if n < 1:
         raise GraphFormatError(f"line {lineno}: n must be >= 1")
+    if n >= 2**63:  # then every endpoint, being below n, fits int64
+        raise GraphFormatError(f"line {lineno}: n must be below 2**63")
     if m < 0:
         raise GraphFormatError(f"line {lineno}: m must be >= 0")
 

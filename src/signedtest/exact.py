@@ -194,13 +194,13 @@ def frustration_index(g: SignedGraph) -> int:
 
 
 def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
-    """Edges a cluster labeling violates: positive across or negative inside."""
+    """Edges a cluster labeling violates: positive across or negative inside,
+    each counted once, from the row of its smaller end."""
     bad = 0
-    for u, v, s in g.edges():
-        if s == Sign.PLUS:
-            bad += labels[u] != labels[v]
-        else:
-            bad += labels[u] == labels[v]
+    for u, row in enumerate(g.adj):
+        for v, s in row:
+            if u < v:
+                bad += (labels[u] != labels[v]) ^ s  # a minus sign (1) flips the test
     return bad
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 
 from signedtest import bounded_testers as bt
+from signedtest import exact
 from signedtest.core import Sign, SignedGraph, midpoint
+from signedtest.dense_testers import LOCAL_SEARCH_MOVE_FACTOR, LOCAL_SEARCH_RESTARTS
 from signedtest.exact import forest_paths
 from signedtest.oracles import _chunked_draws, _chunked_integers
 
@@ -88,3 +90,71 @@ def gprime_step(o, x, slot, coin):
         u, v = divmod(x - n, n)
         return u if coin * o.d < 1.0 else v
     return x
+
+
+def local_search_scoring_each_candidate_from_its_row(g, k, rng):
+    """Reference dense local search: every candidate cluster of a node is
+    scored by a pass over the node's row, and the start count comes from
+    exact.clustering_violations."""
+    n = g.n
+    k = min(k, max(n, 1))
+    if n == 0 or k < 1:
+        return 0
+
+    def delta_for(assign, v, target):
+        d = 0
+        for u, s in g.adj[v]:
+            before = assign[u] == assign[v]
+            after = assign[u] == target
+            if s == Sign.PLUS:
+                d += (not after) - (not before)
+            else:
+                d += after - before
+        return d
+
+    best = None
+    move_budget = LOCAL_SEARCH_MOVE_FACTOR * n * k
+    for restart in range(LOCAL_SEARCH_RESTARTS):
+        if restart == 0:
+            # positive components, folded into at most k labels
+            comp = exact.positive_component_clustering(g).assignment
+            assign = [min(c, k - 1) for c in comp]
+        else:
+            assign = [int(x) for x in rng.integers(0, k, size=n)]
+        sizes = [0] * k
+        for c in assign:
+            sizes[c] += 1
+        # lazy stack of empty cluster ids (entries may go stale after moves)
+        empties = [c for c in range(k - 1, -1, -1) if sizes[c] == 0]
+        cur = exact.clustering_violations(g, assign)
+        improved = True
+        while improved and move_budget > 0:
+            improved = False
+            for v in rng.permutation(n):
+                v = int(v)
+                candidates = {assign[u] for u, _ in g.adj[v]}
+                while empties and sizes[empties[-1]] != 0:
+                    empties.pop()
+                if empties:
+                    candidates.add(empties[-1])
+                candidates.discard(assign[v])
+                for target in candidates:
+                    move_budget -= 1
+                    d = delta_for(assign, v, target)
+                    if d < 0:
+                        old = assign[v]
+                        assign[v] = target
+                        sizes[old] -= 1
+                        sizes[target] += 1
+                        if sizes[old] == 0:
+                            empties.append(old)
+                        cur += d
+                        improved = True
+                        break
+                if move_budget <= 0:
+                    break
+        if best is None or cur < best:
+            best = cur
+        if best == 0:
+            break
+    return int(best)

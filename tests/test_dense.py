@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,3 +310,10 @@ class TestFrustrationEstimate:
         for seed in range(10):
             g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 40, seed=seed, d=6, k=3))
             assert dt._local_search_k_frustration(g, 20, np.random.default_rng(0)) == 0
+
+    def test_local_search_stops_before_a_pass_on_a_violation_free_start(self):
+        # the positive-component start of a clusterable graph violates nothing
+        g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 40, d=6, k=3))
+        rng = mock.Mock(wraps=np.random.default_rng(0))
+        rng.permutation.side_effect = AssertionError("a pass was started")
+        assert dt._local_search_k_frustration(g, 20, rng) == 0

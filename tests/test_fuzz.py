@@ -31,10 +31,13 @@ from signedtest.core import (
     load_edge_list,
     midpoint,
 )
-from signedtest.exact import is_balanced, is_clusterable
+from signedtest.exact import clustering_violations, is_balanced, is_clusterable
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
-from conftest import parity_search_walking_one_walk_at_a_time
+from conftest import (
+    local_search_scoring_each_candidate_from_its_row,
+    parity_search_walking_one_walk_at_a_time,
+)
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -159,6 +162,26 @@ def test_clusterable_iff_no_negative_edge_inside_a_positive_component(case):
     n, edges = case
     want = _no_negative_edge_inside_a_positive_component(n, edges)
     assert is_clusterable(SignedGraph.from_edges(n, edges)).clusterable == want
+
+
+@FUZZ
+@given(edge_lists(), st.data())
+def test_clustering_violations_match_the_edge_list(case, data):
+    n, edges = case
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    want = sum((labels[u] == labels[v]) == (_stored(s) == Sign.MINUS) for u, v, s in edges)
+    assert clustering_violations(SignedGraph.from_edges(n, edges), labels) == want
+
+
+@FUZZ
+@given(edge_lists(), st.integers(0, 2**32 - 1))
+def test_local_search_matches_scoring_each_candidate_from_its_row(case, seed):
+    n, edges = case
+    g = SignedGraph.from_edges(n, edges)
+    for k in (1, 2, 3, n):
+        for sd in (seed, seed + 1, seed + 2):
+            want = local_search_scoring_each_candidate_from_its_row(g, k, np.random.default_rng(sd))
+            assert dt._local_search_k_frustration(g, k, np.random.default_rng(sd)) == want, (k, sd)
 
 
 # short walks, few of them: small graphs then reject often on the walk path

@@ -345,6 +345,17 @@ class TestCli:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "100000000000000000000 0\n",
+        "100000000000000000000 1\n0 10000000000000000000 +\n",
+    ], ids=["header-only", "with-endpoint"])
+    def test_header_n_past_int64_is_a_one_line_error(self, tmp_path, capsys, text):
+        path = tmp_path / "big.sgl"
+        path.write_text(text)
+        rc = cli.main(["exact", "--in", str(path), "--check", "balance"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 1: n must be below 2**63\n"
+
     def test_test_subcommand_report(self, tmp_path):
         rep_path = tmp_path / "r.json"
         rc = cli.main(["test", "--model", "bounded", "--property", "clusterability",
