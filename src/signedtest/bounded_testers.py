@@ -116,8 +116,7 @@ def sample_gprime_node(o: BoundedDegreeOracle, rng) -> int | None:
     forward_plus = not sign and u < v  # sign 0 is plus
     if forward_plus and rng.random() < 0.25:
         return midpoint(o.n, u, v)
-    deg = sum(1 for _ in o.neighbors(u))
-    if rng.random() < 1.0 / ((3.0 if forward_plus else 4.0) * deg):
+    if rng.random() < 1.0 / ((3.0 if forward_plus else 4.0) * len(o.neighbors(u))):
         return u
     return None
 
@@ -152,9 +151,9 @@ def _contract_to_g_cycle(cyc: list[int], n: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 def read_whole_graph(o: BoundedDegreeOracle) -> SignedGraph:
-    """The graph behind o, row for row, read through ``o.neighbors``: node v
-    costs min(deg(v) + 1, d) queries, so the whole read at most N*d."""
-    return SignedGraph(o.n, tuple(tuple(o.neighbors(v)) for v in range(o.n)), o.d)
+    """The graph behind o, sharing its rows, read through ``o.neighbors``:
+    node v costs min(deg(v) + 1, d) queries, so the whole read at most N*d."""
+    return SignedGraph(o.n, tuple(map(o.neighbors, range(o.n))), o.d)
 
 
 def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedConstants,
@@ -216,7 +215,7 @@ def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed,
     budget = triangle_budget(eps, o.d, constants)
     start = o.query_count
     for v in rng.integers(0, o.n, size=triangle_samples(eps, constants)).tolist():
-        nb_v = list(o.neighbors(v))
+        nb_v = o.neighbors(v)
         rows = {u: dict(o.neighbors(u)) for u, _ in nb_v}
         for a, (u1, s1) in enumerate(nb_v):
             for u2, s2 in nb_v[a + 1:]:

@@ -246,8 +246,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # ArithmeticError: finite but extreme values (--eps 1e-300, --c2 1e308)
-        # whose budgets overflow or divide by zero; MemoryError: sizes whose
-        # arrays cannot be allocated (an .sgl header or --n of 10^15)
+        # whose budgets overflow or divide by zero; MemoryError: sample counts
+        # whose arrays cannot be allocated (bounded triangle at --eps 1e-12)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

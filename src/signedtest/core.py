@@ -10,7 +10,7 @@ any other file line by line, naming the line at fault.
 ``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
 loop that is about ten times cheaper on a graph of a few nodes; tests and
 hand-written lists use it, and ``from_arrays`` calls it only to word a
-rejection. A whole-graph read keeps the rows it reads and calls neither.
+rejection. A whole-graph read shares the rows it reads and calls neither.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ class Sign(IntEnum):
 
 class GraphFormatError(ValueError):
     """Raised for malformed edge-list input or invalid graph construction."""
+
+
+# The largest instance built or loaded: a build peaks at about 250 bytes of
+# RSS a node plus 310 an edge (CPython 3.11, 64-bit Linux), under 4 GB at both.
+MAX_NODES, MAX_EDGES = 4_000_000, 8_000_000
 
 
 # Sign values from_edges accepts, and the int each stores. The type check
@@ -251,13 +256,13 @@ _SIGN_DIGITS = str.maketrans("+-", "01")
 
 
 def _parse(text: str, degree_bound: int | None) -> SignedGraph:
-    """A plain text with m lines, n >= 1 and 0 <= u < v < n on each line is
-    built at once; any other text goes to the line reader, which names the
-    line at fault. Both hand the same arrays to from_arrays."""
+    """A plain text with 1 <= n <= MAX_NODES, m <= MAX_EDGES lines and
+    0 <= u < v < n on each goes to from_arrays at once; any other text goes
+    to the line reader, which names the line at fault and builds the same."""
     plain = _PLAIN.fullmatch(text)
     if plain:
         n, m, body = int(plain[1]), int(plain[2]), plain[3]
-        if n >= 1 and body.count("\n") == m:
+        if 1 <= n <= MAX_NODES and m <= MAX_EDGES and body.count("\n") == m:
             cols = np.fromstring(body.translate(_SIGN_DIGITS), dtype=np.int64, sep=" ")
             u, v, s = cols.reshape(m, 3).T
             if (u < v).all() and (v < n).all():
@@ -278,12 +283,10 @@ def _read_lines(stream: TextIO, degree_bound: int | None) -> SignedGraph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphFormatError(f"line {lineno}: header must be two integers") from None
-    if n < 1:
-        raise GraphFormatError(f"line {lineno}: n must be >= 1")
-    if n >= 2**63:  # then every endpoint, being below n, fits int64
-        raise GraphFormatError(f"line {lineno}: n must be below 2**63")
-    if m < 0:
-        raise GraphFormatError(f"line {lineno}: m must be >= 0")
+    if not 1 <= n <= MAX_NODES:  # then every endpoint, being below n, fits int64
+        raise GraphFormatError(f"line {lineno}: n must be between 1 and {MAX_NODES:,}")
+    if not 0 <= m <= MAX_EDGES:
+        raise GraphFormatError(f"line {lineno}: m must be between 0 and {MAX_EDGES:,}")
 
     edges: list[tuple[int, int, int]] = []
     for lineno, line in lines:

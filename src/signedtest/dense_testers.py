@@ -209,8 +209,9 @@ def estimate_edge_count(o: DenseOracle, eps: float, seed,
 # weak-frustration estimation and the tolerant clusterability tester
 # ---------------------------------------------------------------------------
 
-def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
-    """Greedy local search for a k-clustering with few violated signs.
+def _local_search_k_frustration(g: SignedGraph, k: int, rng, start: list[int]) -> int:
+    """Greedy local search for a k-clustering with few violated signs, from
+    the labels ``start`` first (moved in place), then from random ones.
 
     Only moves single nodes between clusters, accepting strict improvements.
     The result is the violation count of a concrete assignment, so it can
@@ -222,19 +223,12 @@ def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
     per scored candidate, O(deg v) per move. The search stops at count 0.
     """
     n = g.n
-    k = min(k, max(n, 1))
-    if n == 0 or k < 1:
-        return 0
+    k = min(k, n)
     adj = g.adj
     best = math.inf
     move_budget = LOCAL_SEARCH_MOVE_FACTOR * n * k
     for restart in range(LOCAL_SEARCH_RESTARTS):
-        if restart == 0:
-            # positive components, folded into at most k labels
-            comp = exact.positive_component_clustering(g).assignment
-            assign = [min(c, k - 1) for c in comp]
-        else:
-            assign = rng.integers(0, k, size=n).tolist()
+        assign = start if restart == 0 else rng.integers(0, k, size=n).tolist()
         sizes = [0] * k
         for c in assign:
             sizes[c] += 1
@@ -291,7 +285,10 @@ def _local_search_k_frustration(g: SignedGraph, k: int, rng) -> int:
 def _induced_k_frustration(g: SignedGraph, k: int, rng) -> int:
     if g.n <= _EXACT_INDUCED_CAP:
         return exact.k_frustration_index(g, min(k, g.n))
-    return _local_search_k_frustration(g, k, rng)
+    start = exact.folded_components(g, k)
+    if not exact.clustering_violations(g, start):  # the count table is not needed
+        return 0
+    return _local_search_k_frustration(g, k, rng, start)
 
 
 def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, constants: DenseConstants):

@@ -204,6 +204,12 @@ def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     return bad
 
 
+def folded_components(g: SignedGraph, k: int) -> list[int]:
+    """Positive components, folded into at most k labels: the clustering both
+    k-frustration searches start from."""
+    return [min(c, k - 1) for c in positive_component_clustering(g).assignment]
+
+
 def k_frustration_index(g: SignedGraph, k: int) -> int:
     """Minimum edges violating a partition into at most k clusters
     (positive across or negative inside). Exact enumeration over canonical
@@ -214,9 +220,7 @@ def k_frustration_index(g: SignedGraph, k: int) -> int:
         raise SizeCapError(f"k_frustration_index caps at n={K_FRUSTRATION_MAX_NODES}, got {g.n}")
     k = min(k, g.n)
     prev = [[(j, s) for j, s in g.adj[i] if j < i] for i in range(g.n)]
-    # positive components, folded into at most k labels, give the starting bound
-    comp = positive_component_clustering(g).assignment
-    best = clustering_violations(g, [min(c, k - 1) for c in comp])
+    best = clustering_violations(g, folded_components(g, k))  # the starting bound
     if best == 0:
         return 0
     assign = [0] * g.n

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import exact
-from .core import Sign, SignedGraph
+from .core import MAX_EDGES, MAX_NODES, Sign, SignedGraph
 
 _PLUS, _MINUS = int(Sign.PLUS), int(Sign.MINUS)  # edge lists hold plain ints, see Sign
 
@@ -54,8 +54,11 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_NODES:
+            raise ValueError(f"n must be between 1 and {MAX_NODES:,}")
+        complete = self.d is None and self.family in (BALANCED_TWO_SIDE, CLUSTERABLE_COMMUNITIES)
+        if complete and self.n * (self.n - 1) // 2 > MAX_EDGES:
+            raise ValueError(f"the complete form with n={self.n} has more than {MAX_EDGES:,} edges")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -91,19 +91,15 @@ class BoundedDegreeOracle:
             return row[i - 1]
         return None
 
-    def neighbors(self, v: int) -> Iterator[tuple[int, int]]:
-        """Read slots 1..d of v in order, yielding (neighbor, sign) up to the
-        first empty slot. Each slot read costs one query as it is read, the
-        empty one included, so a caller that stops early pays only for the
-        slots it took. The range check on v runs at the first read."""
+    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
+        """Slots 1..d of v up to the first empty one, as the graph's own row
+        of (neighbor, sign) pairs, charged at once as reading them one by one
+        would be: min(deg(v) + 1, d) queries, the empty slot included."""
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} out of range for n={self.n}")
         row = self._adj[v]
-        for pair in row:
-            self.query_count += 1
-            yield pair
-        if len(row) < self.d:
-            self.query_count += 1
+        self.query_count += min(len(row) + 1, self.d)
+        return row
 
     def query_batch(self, nodes, slots) -> tuple[np.ndarray, np.ndarray]:
         """query(nodes[k], slots[k]) for every k at once, as two arrays
@@ -142,14 +138,11 @@ class RandomSource:
     def stream(self, *path: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=path))
 
-    def generator(self) -> np.random.Generator:
-        return self.stream()
-
 
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return RandomSource(int(seed)).generator()
+    return RandomSource(int(seed)).stream()
 
 
 _CHUNK = 4096  # rows per draw in _chunked_draws

@@ -190,7 +190,7 @@ def test_criterion_03_transformed_node_sampler_is_uniform():
     pvals = []
     for idx, (name, g) in enumerate(fixtures):
         o = BoundedDegreeOracle(g)
-        rng = RandomSource(300 + idx).generator()
+        rng = RandomSource(300 + idx).stream()
         counts: Counter = Counter()
         returned = 0
         for _ in range(draws):

@@ -319,6 +319,27 @@ class TestBadCycleSearch:
                 found += 1
         assert found / 200 >= 0.9
 
+    def test_reject_pays_for_the_whole_row_it_stops_in(self):
+        # triangle 0-1 +, 1-2 +, 0-2 - at d = 4: the walk reaches 2 only
+        # through 1, and 2's row ends in the negative edge back to 0, so a
+        # reject reads the rows of 0, 1 and 2, each charged deg + 1 = 3
+        # queries, its empty third slot included, on top of one per step
+        class StepCounting(BoundedDegreeOracle):
+            steps = 0
+
+            def query(self, v, i):
+                self.steps += 1
+                return super().query(v, i)
+
+        rejects = 0
+        for seed in range(50):
+            o = StepCounting(_ppm_triangle(d=4))
+            w = bt.badcycle_search(o, 0, 50, 4, np.random.default_rng(seed))
+            if w is not None:
+                assert o.query_count == o.steps + 9
+                rejects += 1
+        assert rejects >= 40
+
     def test_detection_monotone_in_walk_count(self):
         rng_master = np.random.default_rng(11)
         for inst in range(5):
@@ -441,7 +462,7 @@ class TestReadWholeGraph:
         o = _oracle(g)
         h = bt.read_whole_graph(o)
         assert list(h.edges()) == list(g.edges())
-        assert h == g and h.adj == g.adj
+        assert h == g and all(h.adj[v] is g.adj[v] for v in range(g.n))  # rows shared
         assert o.query_count == sum(min(g.degree(v) + 1, g.degree_bound) for v in range(g.n))
 
 

@@ -231,6 +231,8 @@ class TestEdgeListFormat:
             ("3 1\n0 1 +\n1 2 -\n", "more than"),
             ("3 2\n0 1 +\n", "declared 2"),
             ("2 1\na b +\n", "integers"),
+            # a header at both caps passes; nothing is built for the missing edges
+            ("4000000 8000000\n", "declared 8000000 edges but found 0"),
         ],
     )
     def test_parse_errors(self, text, fragment):

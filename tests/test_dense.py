@@ -303,17 +303,24 @@ class TestFrustrationEstimate:
         for _ in range(40):
             g = random_signed_graph(rng, int(rng.integers(5, 11)), p_edge=0.5)
             for k in (2, 3, g.n):
-                ls = dt._local_search_k_frustration(g, k, np.random.default_rng(1))
+                ls = dt._local_search_k_frustration(g, k, np.random.default_rng(1),
+                                                 exact.folded_components(g, k))
                 assert ls >= exact.k_frustration_index(g, k)
 
     def test_local_search_exact_on_clusterable(self):
         for seed in range(10):
             g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 40, seed=seed, d=6, k=3))
-            assert dt._local_search_k_frustration(g, 20, np.random.default_rng(0)) == 0
+            assert dt._local_search_k_frustration(
+                g, 20, np.random.default_rng(0), exact.folded_components(g, 20)) == 0
 
     def test_local_search_stops_before_a_pass_on_a_violation_free_start(self):
         # the positive-component start of a clusterable graph violates nothing
         g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 40, d=6, k=3))
         rng = mock.Mock(wraps=np.random.default_rng(0))
         rng.permutation.side_effect = AssertionError("a pass was started")
-        assert dt._local_search_k_frustration(g, 20, rng) == 0
+        assert dt._local_search_k_frustration(g, 20, rng, exact.folded_components(g, 20)) == 0
+
+    def test_induced_count_skips_the_local_search_on_a_violation_free_start(self, monkeypatch):
+        g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 40, d=6, k=3))
+        monkeypatch.setattr(dt, "_local_search_k_frustration", mock.Mock(side_effect=AssertionError))
+        assert dt._induced_k_frustration(g, 20, np.random.default_rng(0)) == 0

@@ -31,7 +31,7 @@ from signedtest.core import (
     load_edge_list,
     midpoint,
 )
-from signedtest.exact import clustering_violations, is_balanced, is_clusterable
+from signedtest.exact import clustering_violations, folded_components, is_balanced, is_clusterable
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
 from conftest import (
@@ -181,7 +181,9 @@ def test_local_search_matches_scoring_each_candidate_from_its_row(case, seed):
     for k in (1, 2, 3, n):
         for sd in (seed, seed + 1, seed + 2):
             want = local_search_scoring_each_candidate_from_its_row(g, k, np.random.default_rng(sd))
-            assert dt._local_search_k_frustration(g, k, np.random.default_rng(sd)) == want, (k, sd)
+            got = dt._local_search_k_frustration(g, k, np.random.default_rng(sd),
+                                                 folded_components(g, k))
+            assert got == want, (k, sd)
 
 
 # short walks, few of them: small graphs then reject often on the walk path

@@ -326,8 +326,17 @@ class TestParameterValidation:
             (dict(family=PLANTED_NEGATIVE_MATCHING, n=100, k=0), "1 <= k <= n"),
             (dict(family=PLANTED_NEGATIVE_MATCHING, n=100, k=-1), "1 <= k <= n"),
             (dict(family=ALL_NEGATIVE_REGULAR, n=10, d=3, seed=-1), "seed must be >= 0"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=0), "n must be between 1 and 4,000,000"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=4_000_001), "n must be between 1 and 4,000,000"),
+            (dict(family=CLUSTERABLE_COMMUNITIES, n=4001, k=2), "more than 8,000,000 edges"),
         ],
     )
     def test_bad_parameters_raise(self, spec, msg):
         with pytest.raises(ValueError, match=msg):
             generate(GenSpec(**spec))
+
+    def test_sizes_at_the_caps_are_accepted(self):
+        # specs only, never generated: building one would take gigabytes
+        GenSpec(DISJOINT_BAD_TRIANGLES, core.MAX_NODES)
+        GenSpec(BALANCED_TWO_SIDE, 4000)  # the largest complete form: 7,998,000 edges
+        GenSpec(CLUSTERABLE_COMMUNITIES, 4001, d=8)  # a sparse form takes any n up to the cap

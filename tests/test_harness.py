@@ -327,22 +327,32 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    # 10^15 nodes ask for petabytes, past any address space, so the first
-    # array fails at once; sizes that fit the address space but not memory
-    # are left out, as the kernel may kill the process instead
-    @pytest.mark.parametrize("argv", [
-        ["exact", "--in", "{huge}", "--check", "balance"],
-        ["gen", "--family", "disjoint-bad-triangles", "--n", "1000000000000000",
-         "--out", "{out}"],
-    ], ids=["exact-sgl-header", "gen-n"])
-    def test_unallocatable_size_is_a_one_line_error(self, tmp_path, capsys, argv):
+    # sizes past the node or edge cap (core.MAX_NODES, core.MAX_EDGES) are
+    # refused before any array is allocated, from 10^15 nodes down to one
+    # node or edge over; no test builds an instance near a cap
+    @pytest.mark.parametrize("argv, header, message", [
+        (["exact", "--in", "{huge}", "--check", "balance"], "1000000000000000 0\n",
+         "line 1: n must be between 1 and 4,000,000"),
+        (["gen", "--family", "disjoint-bad-triangles", "--n", "1000000000000000",
+          "--out", "{out}"], "", "n must be between 1 and 4,000,000"),
+        (["exact", "--in", "{huge}", "--check", "balance"], "4000001 0\n",
+         "line 1: n must be between 1 and 4,000,000"),
+        (["exact", "--in", "{huge}", "--check", "balance"], "10 8000001\n",
+         "line 1: m must be between 0 and 8,000,000"),
+        (["gen", "--family", "disjoint-bad-triangles", "--n", "4000001", "--out", "{out}"], "",
+         "n must be between 1 and 4,000,000"),
+        (["gen", "--family", "balanced-two-side", "--n", "4002", "--out", "{out}"], "",
+         "the complete form with n=4002 has more than 8,000,000 edges"),
+    ], ids=["exact-sgl-header", "gen-n", "sgl-n-just-over", "sgl-m-just-over",
+            "gen-n-just-over", "gen-complete-just-over"])
+    def test_unallocatable_size_is_a_one_line_error(self, tmp_path, capsys, argv, header,
+                                                    message):
         huge = tmp_path / "huge.sgl"
-        huge.write_text("1000000000000000 0\n")
+        huge.write_text(header)
         out = tmp_path / "g.sgl"
         rc = cli.main([a.format(huge=huge, out=out) for a in argv])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
@@ -354,7 +364,7 @@ class TestCli:
         path.write_text(text)
         rc = cli.main(["exact", "--in", str(path), "--check", "balance"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: line 1: n must be below 2**63\n"
+        assert capsys.readouterr().err == "error: line 1: n must be between 1 and 4,000,000\n"
 
     def test_test_subcommand_report(self, tmp_path):
         rep_path = tmp_path / "r.json"
