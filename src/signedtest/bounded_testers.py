@@ -40,31 +40,29 @@ from . import exact
 from .core import Sign, SignedGraph, Witness, WitnessKind, midpoint
 from .oracles import _CHUNK, BoundedDegreeOracle, Verdict, _as_rng, _chunked_integers
 
-C_TRIANGLE_BD = 10.0
+C_TRIANGLE_BD = 10.0  # triangle: sampled nodes = ceil(C_TRIANGLE_BD / eps)
 
 
 @dataclass(frozen=True)
 class BoundedConstants:
-    """Hidden-constant knobs for the bounded-degree testers.
+    """Hidden-constant knobs of the two walk testers; each accepts them all.
 
-    The asymptotic recipes leave the multipliers and the polylog/poly-eps
-    exponents open; these defaults are sized for desk-scale runs and are all
-    config so benchmarks can explore other regimes.
+    The asymptotic recipes leave the multipliers and the polylog exponent
+    open; the defaults are sized for desk-scale runs. The balance walk
+    length's eps exponent is fixed at 3 (theory says up to 8).
     """
 
     c1: float = 8.0   # balance: start repetitions ~ c1/eps'
     c2: float = 2.0   # balance: walks per start ~ c2*sqrt(N(d+1))*log(N)/eps'^3
-    c3: float = 4.0   # balance: walk length ~ c3*log(N)^a/eps'^b
+    c3: float = 4.0   # balance: walk length ~ c3*log(N)^a/eps'^3
     c4: float = 8.0   # clusterability: start repetitions ~ c4/eps
     c5: float = 2.0   # clusterability: walks per start ~ c5*sqrt(N)*log(N)/eps^2
     c6: float = 4.0   # clusterability: walk length ~ c6*log(N)^a/eps^3
     walk_len_log_exponent: int = 1      # a above (0 makes L N-independent)
-    balance_len_eps_exponent: int = 3   # b above (theory says up to 8)
     allow_exact_fallback: bool = True
-    c_t: float = C_TRIANGLE_BD  # triangle: sampled nodes ~ c_t/eps
 
     def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c_t"):
+        for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -161,20 +159,23 @@ def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedCon
     """Frame shared by the two walk testers.
 
     ``schedule(n, d, eps, constants)`` gives the WalkParams and
-    ``budget(params, d)`` the most queries their walks can spend. When
-    eps >= 1 or that budget exceeds the N*d of reading the whole graph (and
-    the fallback is allowed), the graph is read and ``check(g) -> (ok,
-    witness)`` answers exactly. Otherwise ``search(o, params, rng)`` runs
-    once per start and the first witness it returns rejects.
+    ``budget(params, d)`` the most queries their walks can spend. When the
+    fallback is allowed and eps >= 1 (then no schedule is made) or that
+    budget exceeds the N*d of reading the whole graph, ``check(g) -> (ok,
+    witness)`` answers exactly on the graph read whole. Otherwise
+    ``search(o, params, rng)`` runs once per start; a witness rejects.
     """
     if o.d < 2 or o.n < 2:
         raise ValueError("needs degree bound >= 2 and N >= 2")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    p = schedule(o.n, o.d, eps, constants)
+    fallback = constants.allow_exact_fallback
+    if not (fallback and eps >= 1.0):
+        p = schedule(o.n, o.d, eps, constants)
+        limit = budget(p, o.d)
+        fallback = fallback and limit > o.n * o.d
     start = o.query_count
-    limit = budget(p, o.d)
-    if constants.allow_exact_fallback and (eps >= 1.0 or limit > o.n * o.d):
+    if fallback:
         ok, witness = check(read_whole_graph(o))
         return Verdict(ok, witness=witness, queries_used=o.query_count - start,
                        exact_fallback=True)
@@ -193,17 +194,16 @@ def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedCon
 # triangle tester
 # ---------------------------------------------------------------------------
 
-def triangle_samples(eps: float, c: BoundedConstants = DEFAULT_CONSTANTS) -> int:
-    return max(1, math.ceil(c.c_t / eps))
+def triangle_samples(eps: float) -> int:
+    return max(1, math.ceil(C_TRIANGLE_BD / eps))
 
 
-def triangle_budget(eps: float, d: int, c: BoundedConstants = DEFAULT_CONSTANTS) -> int:
+def triangle_budget(eps: float, d: int) -> int:
     """d slots of each sampled node and d of each of its neighbors."""
-    return triangle_samples(eps, c) * (d + d * d)
+    return triangle_samples(eps) * (d + d * d)
 
 
-def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed,
-                          constants: BoundedConstants = DEFAULT_CONSTANTS) -> Verdict:
+def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed) -> Verdict:
     """Sample nodes and look for a pattern triangle within distance 2 by
     probing each sampled node's neighborhood and its neighbors'."""
     if o.d < 2:
@@ -212,9 +212,9 @@ def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed,
         raise ValueError("eps must be positive")
     pat = exact.triangle_pattern(pattern)
     rng = _as_rng(seed)
-    budget = triangle_budget(eps, o.d, constants)
+    budget = triangle_budget(eps, o.d)
     start = o.query_count
-    for v in rng.integers(0, o.n, size=triangle_samples(eps, constants)).tolist():
+    for v in rng.integers(0, o.n, size=triangle_samples(eps)).tolist():
         nb_v = o.neighbors(v)
         rows = {u: dict(o.neighbors(u)) for u, _ in nb_v}
         for a, (u1, s1) in enumerate(nb_v):
@@ -239,8 +239,7 @@ def balance_walk_schedule(n: int, d: int, eps: float,
     logn = max(1.0, math.log(n))
     m = max(1, math.ceil(constants.c2 * math.sqrt(n * (d + 1)) * logn / eps_p**3))
     length = max(1, math.ceil(
-        constants.c3 * logn**constants.walk_len_log_exponent
-        / eps_p**constants.balance_len_eps_exponent))
+        constants.c3 * logn**constants.walk_len_log_exponent / eps_p**3))
     return WalkParams(starts, m, length)
 
 

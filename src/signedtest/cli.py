@@ -55,7 +55,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--planted-fraction", type=float, dest="planted_fraction")
     p.add_argument("--gen-seed", type=int, default=0, dest="gen_seed",
                    help="seed for instance generation (default 0)")
-    grp = p.add_argument_group("budget overrides")
+    grp = p.add_argument_group("walk-tester overrides (bounded balance and clusterability)")
     for name, kind in OVERRIDES.items():
         if kind is bool:  # allow_exact_fallback, the one switch, is on by default
             grp.add_argument("--no-exact-fallback", dest=name,

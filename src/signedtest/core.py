@@ -4,9 +4,10 @@ A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
 immutable ``SignedGraph`` defined here. ``SignedGraph.from_arrays`` builds one
 from (u, v, sign) integer arrays with vectorized checks and one pass over
-the rows; the generators and the ``.sgl`` loader use it. The loader reads a
-file in the plain form ``save_edge_list`` writes in one vectorized pass, and
-any other file line by line, naming the line at fault.
+the rows; the generators and the ``.sgl`` loader use it. The loader checks a
+file's header before it reads the body, then reads a body in the plain form
+``save_edge_list`` writes in one vectorized pass, and any other body line by
+line, naming the line at fault.
 ``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
 loop that is about ten times cheaper on a graph of a few nodes; tests and
 hand-written lists use it, and ``from_arrays`` calls it only to word a
@@ -231,8 +232,8 @@ def validate(g: SignedGraph) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _data_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(stream, start=1):
+def _data_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -240,38 +241,38 @@ def _data_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
 
 def load_edge_list(source: str | Path | TextIO, degree_bound: int | None = None) -> SignedGraph:
     """Parse a .sgl edge list from a path or an open text stream; a leading
-    UTF-8 byte-order mark is dropped."""
+    UTF-8 byte-order mark is dropped. The header is read and checked before
+    the body."""
     if hasattr(source, "read"):
-        text = source.read().removeprefix("\ufeff")  # type: ignore[union-attr]
-        return _parse(text, degree_bound)
-    with open(source, "r", encoding="utf-8-sig") as fh:
-        return _parse(fh.read(), degree_bound)
+        return _parse(source, degree_bound)  # type: ignore[arg-type]
+    with open(source, "r", encoding="utf-8") as fh:
+        return _parse(fh, degree_bound)
 
 
-# The plain form, as save_edge_list writes it: the header, then one "u v s"
-# line per edge, single spaces, every line ending in LF, no comment or blank
-# line. With at most 18 digits, every number fits int64.
-_PLAIN = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18} [+-]\n)*)")
+# The plain body, as save_edge_list writes it: one "u v s" line per edge,
+# single spaces, every line ending in LF, no comment or blank line. With at
+# most 18 digits, every number fits int64.
+_PLAIN_BODY = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18} [+-]\n)*")
 _SIGN_DIGITS = str.maketrans("+-", "01")
 
 
-def _parse(text: str, degree_bound: int | None) -> SignedGraph:
-    """A plain text with 1 <= n <= MAX_NODES, m <= MAX_EDGES lines and
-    0 <= u < v < n on each goes to from_arrays at once; any other text goes
-    to the line reader, which names the line at fault and builds the same."""
-    plain = _PLAIN.fullmatch(text)
-    if plain:
-        n, m, body = int(plain[1]), int(plain[2]), plain[3]
-        if 1 <= n <= MAX_NODES and m <= MAX_EDGES and body.count("\n") == m:
-            cols = np.fromstring(body.translate(_SIGN_DIGITS), dtype=np.int64, sep=" ")
-            u, v, s = cols.reshape(m, 3).T
-            if (u < v).all() and (v < n).all():
-                return SignedGraph.from_arrays(n, u, v, s, degree_bound)
-    return _read_lines(io.StringIO(text), degree_bound)
+def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
+    """The header, then the body: a plain body of m lines, 0 <= u < v < n on
+    each, goes to from_arrays at once; any other goes to the line reader,
+    which names the line at fault and builds the same."""
+    first = stream.readline().removeprefix("\ufeff")
+    lineno, n, m = _header(_data_lines(chain([first], iter(stream.readline, ""))))
+    body = stream.read()
+    if _PLAIN_BODY.fullmatch(body) and body.count("\n") == m:
+        cols = np.fromstring(body.translate(_SIGN_DIGITS), dtype=np.int64, sep=" ")
+        u, v, s = cols.reshape(m, 3).T
+        if (u < v).all() and (v < n).all():
+            return SignedGraph.from_arrays(n, u, v, s, degree_bound)
+    return _read_edges(_data_lines(io.StringIO(body), lineno + 1), n, m, degree_bound)
 
 
-def _read_lines(stream: TextIO, degree_bound: int | None) -> SignedGraph:
-    lines = _data_lines(stream)
+def _header(lines: Iterator[tuple[int, str]]) -> tuple[int, int, int]:
+    """The header's line number, then n and m, each checked against its cap."""
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -287,7 +288,11 @@ def _read_lines(stream: TextIO, degree_bound: int | None) -> SignedGraph:
         raise GraphFormatError(f"line {lineno}: n must be between 1 and {MAX_NODES:,}")
     if not 0 <= m <= MAX_EDGES:
         raise GraphFormatError(f"line {lineno}: m must be between 0 and {MAX_EDGES:,}")
+    return lineno, n, m
 
+
+def _read_edges(lines: Iterator[tuple[int, str]], n: int, m: int,
+                degree_bound: int | None) -> SignedGraph:
     edges: list[tuple[int, int, int]] = []
     for lineno, line in lines:
         if len(edges) == m:

@@ -15,14 +15,15 @@ estimator keeps repeated pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import exact
 from .core import SignedGraph, Witness, WitnessKind
 from .oracles import DenseOracle, Verdict, _as_rng, _chunked_integers
 
-# Budget constants. Engineering choices, not theory: defaults are sized so
-# that the desk-scale statistical checks pass with margin.
+# Budget constants: the paper fixes them only up to O(.), so these are
+# engineering choices, sized so that the desk-scale statistical checks pass
+# with margin. No run changes them; a calibration changes them here.
 C_TRIANGLE = 10.0   # triple_samples = ceil(C_TRIANGLE / eps^3)
 C_BALANCE = 20.0    # node samples   = ceil(C_BALANCE * ln(1/eps) / eps)
 C_EDGES = 8.0       # pair samples   = ceil(C_EDGES / eps^2)
@@ -37,32 +38,6 @@ LOCAL_SEARCH_MOVE_FACTOR = 200
 
 
 @dataclass(frozen=True)
-class DenseConstants:
-    """The knobs of the dense testers. A sample count left None is derived
-    from eps and its multiplier by the function of the same name below."""
-
-    c_b: float = C_BALANCE
-    c_e: float = C_EDGES
-    c_c: float = C_CLUSTER
-    c_t: float = C_TRIANGLE
-    triple_samples: int | None = None
-    node_samples: int | None = None
-    subset_size: int | None = None
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.default is None:
-                if v is not None and v < 1:
-                    raise ValueError(f"{f.name} must be >= 1")
-            elif not 0 < v < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite")
-
-
-DEFAULT_CONSTANTS = DenseConstants()
-
-
-@dataclass(frozen=True)
 class DenseParams:
     """The run arguments of the dense triangle tester."""
 
@@ -74,47 +49,46 @@ class DenseParams:
             raise ValueError("eps must be in (0, 1]")
 
 
-def triple_samples(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
-    return c.triple_samples or max(1, math.ceil(c.c_t / eps**3))
+def triple_samples(eps: float) -> int:
+    return max(1, math.ceil(C_TRIANGLE / eps**3))
 
 
-def node_samples(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
-    return c.node_samples or max(1, math.ceil(c.c_b * math.log(1.0 / eps) / eps))
+def node_samples(eps: float) -> int:
+    return max(1, math.ceil(C_BALANCE * math.log(1.0 / eps) / eps))
 
 
-def pair_samples(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
-    return max(1, math.ceil(c.c_e / eps**2))
+def pair_samples(eps: float) -> int:
+    return max(1, math.ceil(C_EDGES / eps**2))
 
 
-def subset_size(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+def subset_size(eps: float) -> int:
     k = math.ceil(8.0 / eps)
-    return c.subset_size or max(1, math.ceil(c.c_c * k * math.log(max(k, 2)) / eps**2))
+    return max(1, math.ceil(C_CLUSTER * k * math.log(max(k, 2)) / eps**2))
 
 
-# Query budgets: the most queries a tester can spend at this eps and these
-# constants. Each tester asserts that it stayed within its budget.
+# Query budgets: the most queries a tester can spend at this eps. Each tester
+# asserts that it stayed within its budget.
 
-def triangle_budget(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
-    return 3 * triple_samples(eps, c)
+def triangle_budget(eps: float) -> int:
+    return 3 * triple_samples(eps)
 
 
-def balance_budget(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
-    s = node_samples(eps, c)
+def balance_budget(eps: float) -> int:
+    s = node_samples(eps)
     return s * (s - 1) // 2
 
 
-def clusterability_budget(eps: float, c: DenseConstants = DEFAULT_CONSTANTS) -> int:
+def clusterability_budget(eps: float) -> int:
     """Also the budget of frustration_estimate_dense."""
-    s = subset_size(eps, c)
-    return pair_samples(eps / 8.0, c) + s * (s - 1) // 2
+    s = subset_size(eps)
+    return pair_samples(eps / 8.0) + s * (s - 1) // 2
 
 
 # ---------------------------------------------------------------------------
 # triangle tester
 # ---------------------------------------------------------------------------
 
-def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams,
-                       constants: DenseConstants = DEFAULT_CONSTANTS) -> Verdict:
+def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams) -> Verdict:
     """Sample uniform node triples and reject on the first one inducing a
     triangle whose sign multiset matches the pattern."""
     if o.n < 3:
@@ -123,7 +97,7 @@ def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams,
     rng = _as_rng(p.seed)
     start = o.query_count
     witness = None
-    for a, b, c in _chunked_integers(rng, 0, o.n, triple_samples(p.eps, constants), 3):
+    for a, b, c in _chunked_integers(rng, 0, o.n, triple_samples(p.eps), 3):
         if a == b or b == c or a == c:
             continue  # degenerate triple, nothing to query
         s_ab = o.query(a, b)
@@ -139,7 +113,7 @@ def test_triangle_dense(o: DenseOracle, pattern, p: DenseParams,
             witness = Witness(WitnessKind.SIGNED_TRIANGLE, (a, b, c), (s_ab, s_bc, s_ca))
             break
     used = o.query_count - start
-    assert used <= triangle_budget(p.eps, constants)
+    assert used <= triangle_budget(p.eps)
     return Verdict(witness is None, witness=witness, queries_used=used)
 
 
@@ -158,8 +132,7 @@ def _sample_unique_nodes(rng, n: int, samples: int) -> list[int]:
 # balance tester
 # ---------------------------------------------------------------------------
 
-def test_balance_dense(o: DenseOracle, eps: float, seed,
-                      constants: DenseConstants = DEFAULT_CONSTANTS) -> Verdict:
+def test_balance_dense(o: DenseOracle, eps: float, seed) -> Verdict:
     """Sample nodes, read the whole induced subgraph, accept iff it is
     balanced. Unbalance witnesses lift back to original node ids. When the
     draw covers all N nodes the read is the whole graph and the answer is
@@ -168,11 +141,11 @@ def test_balance_dense(o: DenseOracle, eps: float, seed,
         raise ValueError("balance testing needs N >= 2")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    nodes = _sample_unique_nodes(_as_rng(seed), o.n, node_samples(eps, constants))
+    nodes = _sample_unique_nodes(_as_rng(seed), o.n, node_samples(eps))
     start = o.query_count
     induced = o.induced(nodes)
     used = o.query_count - start
-    assert used <= balance_budget(eps, constants)
+    assert used <= balance_budget(eps)
     w = exact.is_balanced(induced).witness
     if w is not None:  # lift the witness back to original node ids
         w = Witness(w.kind, tuple(nodes[i] for i in w.nodes), w.signs)
@@ -183,8 +156,7 @@ def test_balance_dense(o: DenseOracle, eps: float, seed,
 # edge-count estimator
 # ---------------------------------------------------------------------------
 
-def estimate_edge_count(o: DenseOracle, eps: float, seed,
-                        constants: DenseConstants = DEFAULT_CONSTANTS) -> float:
+def estimate_edge_count(o: DenseOracle, eps: float, seed) -> float:
     """Estimate |E| to additive error eps*N^2 by sampling off-diagonal
     adjacency entries. If the sample budget already covers every pair, read
     them all once and return the exact count."""
@@ -193,7 +165,7 @@ def estimate_edge_count(o: DenseOracle, eps: float, seed,
     n = o.n
     if n < 2:
         return 0.0
-    q = pair_samples(eps, constants)
+    q = pair_samples(eps)
     total_pairs = n * (n - 1) // 2
     if q >= total_pairs:
         return float(o.induced(range(n)).num_edges)
@@ -291,7 +263,7 @@ def _induced_k_frustration(g: SignedGraph, k: int, rng) -> int:
     return _local_search_k_frustration(g, k, rng, start)
 
 
-def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, constants: DenseConstants):
+def _estimate_weak_frustration(o: DenseOracle, eps: float, seed):
     """Shared core: returns (estimate, queries_used, full_read_flag)."""
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
@@ -299,8 +271,8 @@ def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, constants: Dens
     rng = _as_rng(seed)
     k = math.ceil(8.0 / eps)
     start = o.query_count
-    m_hat = estimate_edge_count(o, eps / 8.0, rng, constants)
-    nodes = _sample_unique_nodes(rng, n, subset_size(eps, constants))
+    m_hat = estimate_edge_count(o, eps / 8.0, rng)
+    nodes = _sample_unique_nodes(rng, n, subset_size(eps))
     u = len(nodes)
     est = 0.0
     if u >= 2:
@@ -312,19 +284,17 @@ def _estimate_weak_frustration(o: DenseOracle, eps: float, seed, constants: Dens
         scale = (n * (n - 1)) / (u * (u - 1))
         est = max(0.0, m_hat - satisfied * scale)
     used = o.query_count - start
-    assert used <= clusterability_budget(eps, constants)
+    assert used <= clusterability_budget(eps)
     return est, used, u >= n
 
 
-def frustration_estimate_dense(o: DenseOracle, eps: float, seed,
-                               constants: DenseConstants = DEFAULT_CONSTANTS) -> float:
+def frustration_estimate_dense(o: DenseOracle, eps: float, seed) -> float:
     """Estimate the weak frustration index to additive error eps*N^2."""
-    est, _, _ = _estimate_weak_frustration(o, eps, seed, constants)
+    est, _, _ = _estimate_weak_frustration(o, eps, seed)
     return est
 
 
-def test_clusterability_dense(o: DenseOracle, eps: float, seed,
-                              constants: DenseConstants = DEFAULT_CONSTANTS) -> Verdict:
+def test_clusterability_dense(o: DenseOracle, eps: float, seed) -> Verdict:
     """Tolerant two-sided tester: accept iff the estimated weak frustration
     is at most (eps/2)*N^2. Targets accepting eps/4-close inputs and
     rejecting eps-far ones. No witness (the evidence is an estimate, not a
@@ -336,7 +306,7 @@ def test_clusterability_dense(o: DenseOracle, eps: float, seed,
     if eps == 1.0:
         # every graph is 1-close to clusterable (delete all edges)
         return Verdict(True, queries_used=0, details={"estimate": 0.0, "threshold": None})
-    est, used, full_read = _estimate_weak_frustration(o, eps, seed, constants)
+    est, used, full_read = _estimate_weak_frustration(o, eps, seed)
     threshold = (eps / 2.0) * o.n * o.n
     return Verdict(est <= threshold, queries_used=used, exact_fallback=full_read,
                    details={"estimate": est, "threshold": threshold})

@@ -39,6 +39,10 @@ FAMILIES = (
     PLANTED_NEGATIVE_MATCHING,
 )
 
+# d when a spec leaves it None. The other two families then take their
+# complete form, which has no degree bound.
+_DEFAULT_D = {ALL_NEGATIVE_REGULAR: 3, DISJOINT_BAD_TRIANGLES: 2, PLANTED_NEGATIVE_MATCHING: 8}
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -56,11 +60,19 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if not 1 <= self.n <= MAX_NODES:
             raise ValueError(f"n must be between 1 and {MAX_NODES:,}")
-        complete = self.d is None and self.family in (BALANCED_TWO_SIDE, CLUSTERABLE_COMMUNITIES)
-        if complete and self.n * (self.n - 1) // 2 > MAX_EDGES:
+        d = self.degree
+        if d is None and self.n * (self.n - 1) // 2 > MAX_EDGES:
             raise ValueError(f"the complete form with n={self.n} has more than {MAX_EDGES:,} edges")
+        # a triangle family's d only bounds the degree: it has about n edges
+        if d is not None and self.family != DISJOINT_BAD_TRIANGLES and self.n * d > 2 * MAX_EDGES:
+            raise ValueError(f"n={self.n} with d={d} allows more than {MAX_EDGES:,} edges")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def degree(self) -> int | None:
+        """d, or the family's default; None for a complete form."""
+        return self.d if self.d is not None else _DEFAULT_D.get(self.family)
 
 
 def _rng_for(spec: GenSpec) -> np.random.Generator:
@@ -171,7 +183,7 @@ def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
 def _gen_bad_triangles(spec: GenSpec):
     if spec.n < 3:
         raise ValueError("disjoint-bad-triangles needs n >= 3")
-    d = spec.d if spec.d is not None else 2
+    d = spec.degree
     if d < 2:
         raise ValueError("disjoint-bad-triangles needs degree bound >= 2")
     t = spec.n // 3
@@ -192,7 +204,7 @@ def _gen_bad_triangles(spec: GenSpec):
 
 
 def _gen_all_negative(spec: GenSpec, rng):
-    d = spec.d if spec.d is not None else 3
+    d = spec.degree
     if d < 1 or d >= spec.n:
         raise ValueError("all-negative-regular needs 1 <= d < n")
     if spec.n * d % 2:
@@ -275,7 +287,7 @@ def _gen_communities(spec: GenSpec, rng):
 
 
 def _gen_planted_matching(spec: GenSpec, rng):
-    d = spec.d if spec.d is not None else 8
+    d = spec.degree
     k = spec.k if spec.k is not None else 2
     pf = spec.planted_fraction if spec.planted_fraction is not None else 0.05
     if k < 1 or k > spec.n:

@@ -21,18 +21,17 @@ from .core import Sign, SignedGraph, Witness, WitnessKind, load_edge_list
 from .generators import GenSpec, generate
 from .oracles import BoundedDegreeOracle, DenseOracle, RandomSource
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PROPERTIES = ("balance", "clusterability", "triangle")
 MODELS = ("dense", "bounded")
 
-# Each model's testers read their knobs from one constants object. Its fields
-# are the overrides: one ExperimentConfig field and one CLI flag each, None
-# meaning "use the tester default".
-CONSTANTS = {"bounded": bt.BoundedConstants, "dense": dt.DenseConstants}
+# Only the two bounded walk testers read knobs: the fields of
+# bt.BoundedConstants, one ExperimentConfig field and one CLI flag each, None
+# meaning "use the tester default". Every other tester refuses them.
+WALK_TESTERS = (("bounded", "balance"), ("bounded", "clusterability"))
 OVERRIDES: dict[str, type] = {
-    f.name: int if f.default is None else type(f.default)
-    for cls in CONSTANTS.values() for f in dataclasses.fields(cls)}
+    f.name: type(f.default) for f in dataclasses.fields(bt.BoundedConstants)}
 
 _KIND_TOKENS = {
     WitnessKind.BAD_CYCLE: "bad-cycle",
@@ -87,8 +86,8 @@ class ExperimentConfig:
 
     ``instance`` is either a GenSpec or a path to an .sgl file (pass ``d``
     to attach a degree bound to file-loaded graphs for the bounded model).
-    Override fields left as None use the tester defaults; setting one that
-    is not a field of the selected tester's resolved constants is an error.
+    Override fields left as None use the tester defaults; only the walk
+    testers read them, and setting one for another tester is an error.
     """
 
     property: str
@@ -99,23 +98,15 @@ class ExperimentConfig:
     seed: int = 0
     pattern: str = "++-"
     d: int | None = None
-    # budget/constant overrides
+    # walk-tester overrides, the fields of bt.BoundedConstants
     c1: float | None = None
     c2: float | None = None
     c3: float | None = None
     c4: float | None = None
     c5: float | None = None
     c6: float | None = None
-    c_b: float | None = None
-    c_e: float | None = None
-    c_c: float | None = None
-    c_t: float | None = None
     walk_len_log_exponent: int | None = None
-    balance_len_eps_exponent: int | None = None
     allow_exact_fallback: bool | None = None
-    triple_samples: int | None = None
-    node_samples: int | None = None
-    subset_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.property not in PROPERTIES:
@@ -130,14 +121,16 @@ class ExperimentConfig:
         if self.property == "triangle":
             exact.triangle_pattern(self.pattern)
 
-    def constants(self):
-        """The selected model's constants object, with this config's overrides."""
+    def constants(self) -> bt.BoundedConstants | None:
+        """The walk testers' constants with this config's overrides; None for
+        every other tester, which reads none."""
         kw = {name: getattr(self, name) for name in OVERRIDES if getattr(self, name) is not None}
-        unread = [name for name in kw if name not in _resolved_keys(self.model, self.property)]
-        if unread:
+        if (self.model, self.property) in WALK_TESTERS:
+            return bt.BoundedConstants(**kw)
+        if kw:
             raise ValueError(f"the {self.model} {self.property} tester does not read "
-                             f"{', '.join(unread)}")
-        return CONSTANTS[self.model](**kw)
+                             f"{', '.join(kw)}")
+        return None
 
 
 def _config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -161,23 +154,23 @@ def load_instance(cfg: ExperimentConfig) -> SignedGraph:
 
 
 # (model, property) -> (derived, run). derived maps each value the tester
-# derives from its constants c, reported beside them, to a function of
-# (cfg, g, c); run(cfg, o, c, rng) calls the tester on a fresh oracle o.
+# derives, reported in resolved_constants after the walk knobs, to a function
+# of (cfg, g, c); run(cfg, o, c, rng) calls the tester on a fresh oracle o.
+# c is cfg.constants(): the walk knobs, or None.
 TESTERS = {
     ("dense", "triangle"): (
-        {"triple_samples": lambda cfg, g, c: dt.triple_samples(cfg.eps, c)},
+        {"triple_samples": lambda cfg, g, c: dt.triple_samples(cfg.eps)},
         lambda cfg, o, c, rng: dt.test_triangle_dense(
-            o, cfg.pattern, dt.DenseParams(cfg.eps, rng), constants=c)),
+            o, cfg.pattern, dt.DenseParams(cfg.eps, rng))),
     ("dense", "balance"): (
-        {"node_samples": lambda cfg, g, c: dt.node_samples(cfg.eps, c)},
-        lambda cfg, o, c, rng: dt.test_balance_dense(o, cfg.eps, rng, constants=c)),
+        {"node_samples": lambda cfg, g, c: dt.node_samples(cfg.eps)},
+        lambda cfg, o, c, rng: dt.test_balance_dense(o, cfg.eps, rng)),
     ("dense", "clusterability"): (
-        {"subset_size": lambda cfg, g, c: dt.subset_size(cfg.eps, c)},
-        lambda cfg, o, c, rng: dt.test_clusterability_dense(o, cfg.eps, rng, constants=c)),
+        {"subset_size": lambda cfg, g, c: dt.subset_size(cfg.eps)},
+        lambda cfg, o, c, rng: dt.test_clusterability_dense(o, cfg.eps, rng)),
     ("bounded", "triangle"): (
-        {},
-        lambda cfg, o, c, rng: bt.test_triangle_bounded(
-            o, cfg.pattern, cfg.eps, rng, constants=c)),
+        {"triangle_samples": lambda cfg, g, c: bt.triangle_samples(cfg.eps)},
+        lambda cfg, o, c, rng: bt.test_triangle_bounded(o, cfg.pattern, cfg.eps, rng)),
     ("bounded", "balance"): (
         {"schedule": lambda cfg, g, c: dataclasses.asdict(
             bt.balance_walk_schedule(g.n, g.degree_bound, cfg.eps, c))},
@@ -188,13 +181,6 @@ TESTERS = {
         lambda cfg, o, c, rng: bt.test_clusterability_bounded(o, cfg.eps, rng, constants=c)),
 }
 ORACLES = {"dense": DenseOracle, "bounded": BoundedDegreeOracle}
-
-
-def _resolved_keys(model: str, prop: str) -> list[str]:
-    """The fields of the model's constants that have a default, then what
-    the tester derives from them."""
-    return [f.name for f in dataclasses.fields(CONSTANTS[model])
-            if f.default is not None] + list(TESTERS[model, prop][0])
 
 
 def _run_one_trial(cfg: ExperimentConfig, g: SignedGraph, c, trial: int) -> dict:
@@ -256,9 +242,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.trials independent tester runs and aggregate them."""
     g = load_instance(cfg)
     c = cfg.constants()
-    derived = TESTERS[cfg.model, cfg.property][0]
-    resolved = {name: derived[name](cfg, g, c) if name in derived else getattr(c, name)
-                for name in _resolved_keys(cfg.model, cfg.property)}
+    resolved = dataclasses.asdict(c) if c is not None else {}
+    for name, derive in TESTERS[cfg.model, cfg.property][0].items():
+        resolved[name] = derive(cfg, g, c)
     rows = [_run_one_trial(cfg, g, c, t) for t in range(cfg.trials)]
     rejects = sum(1 for r in rows if r["decision"] == "reject")
     lo, hi = wilson(rejects, cfg.trials)

@@ -641,8 +641,8 @@ class TestBudgets:
                     gb = SignedGraph.from_edges(n, list(g.edges()), degree_bound=d)
                     for eps, sd in ((0.5, 0), (0.9, 1), (0.9, 2)):
                         budgets = (
-                            (bt.test_triangle_bounded(_oracle(gb), PPM, eps, sd, constants),
-                             bt.triangle_budget(eps, d, constants)),
+                            (bt.test_triangle_bounded(_oracle(gb), PPM, eps, sd),
+                             bt.triangle_budget(eps, d)),
                             (bt.test_balance_bounded(_oracle(gb), eps, sd, constants),
                              bt.balance_budget(bt.balance_walk_schedule(n, d, eps, constants), d)),
                             (bt.test_clusterability_bounded(_oracle(gb), eps, sd, constants),
@@ -660,6 +660,21 @@ class TestConfigValidation:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="c5 must be positive and finite"):
                 bt.BoundedConstants(c5=bad)
+
+    @pytest.mark.parametrize("tester, schedule, budget", [
+        (bt.test_balance_bounded, "balance_walk_schedule", "balance_budget"),
+        (bt.test_clusterability_bounded, "cluster_walk_schedule", "clusterability_budget"),
+    ], ids=["balance", "clusterability"])
+    def test_eps_one_falls_back_without_a_schedule(self, monkeypatch, tester, schedule, budget):
+        def refuse(*args):
+            raise AssertionError("the eps >= 1 fallback needs no schedule")
+        monkeypatch.setattr(bt, schedule, refuse)
+        monkeypatch.setattr(bt, budget, refuse)
+        g = _ppm_triangle(d=2)
+        v = tester(_oracle(g), 1.0, 0)
+        assert v.exact_fallback and not v.accept
+        assert v.queries_used == 6  # min(deg + 1, d) = 2 for each of 3 nodes
+        assert exact.verify_witness(g, v.witness) is None
 
     def test_eps_validation(self):
         g = _ppm_triangle(d=2)

@@ -262,6 +262,14 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError, match="line 3"):
             load_edge_list(io.StringIO("# c\n2 1\n0 1 ?\n"))
 
+    def test_header_is_refused_before_the_body_is_read(self):
+        class NoBodyRead(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("the body was read")
+
+        with pytest.raises(GraphFormatError, match="line 1: n must be between 1 and 4,000,000"):
+            load_edge_list(NoBodyRead("4000001 0\n0 1 +\n"))
+
 
 class TestZaslavskyTransform:
     def test_positive_edges_subdivided_in_sorted_order(self):

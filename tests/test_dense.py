@@ -43,10 +43,6 @@ class TestDenseParams:
             dt.DenseParams(eps=1.5)
         dt.DenseParams(eps=1.0)
 
-    def test_budget_positivity(self):
-        with pytest.raises(ValueError, match="triple_samples"):
-            dt.DenseConstants(triple_samples=0)
-
     def test_default_budgets(self):
         assert dt.triple_samples(0.5) == 80
         assert dt.node_samples(0.1) == 461
@@ -83,11 +79,11 @@ class TestTriangleDense:
                                       dt.DenseParams(eps=1.0, seed=0))
         assert miss.accept
 
-    def test_budget_respected_and_degenerate_triples_free(self):
+    def test_budget_respected_and_degenerate_triples_free(self, monkeypatch):
         g = make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.PLUS)])
         o = DenseOracle(g)
-        v = dt.test_triangle_dense(o, PPM, dt.DenseParams(eps=1.0, seed=1),
-                                   constants=dt.DenseConstants(triple_samples=500))
+        monkeypatch.setattr(dt, "triple_samples", lambda eps: 500)
+        v = dt.test_triangle_dense(o, PPM, dt.DenseParams(eps=1.0, seed=1))
         assert v.accept
         # distinct triples cost 3 queries, degenerate ones cost none
         assert v.queries_used == o.query_count
@@ -105,15 +101,15 @@ class TestTriangleDense:
             assert got == want
             assert chunked.random() == one.random()  # the stream continues alike
 
-    def test_triple_draws_use_bounded_memory(self):
+    def test_triple_draws_use_bounded_memory(self, monkeypatch):
         # every distinct triple of the all-negative K20 rejects '---', so the
         # test stops at the first; one up-front draw of 10^7 triples is 240 MB
         g = make_graph(20, [(u, v, "-") for u, v in itertools.combinations(range(20), 2)])
         o = DenseOracle(g)
+        monkeypatch.setattr(dt, "triple_samples", lambda eps: 10**7)
         tracemalloc.start()
         try:
-            v = dt.test_triangle_dense(o, "---", dt.DenseParams(eps=0.5, seed=0),
-                                       constants=dt.DenseConstants(triple_samples=10**7))
+            v = dt.test_triangle_dense(o, "---", dt.DenseParams(eps=0.5, seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -127,21 +123,22 @@ class TestTriangleDense:
 
 
 class TestBudgets:
-    @pytest.mark.parametrize("constants", [
-        dt.DEFAULT_CONSTANTS,
-        dt.DenseConstants(c_e=1e-3, triple_samples=5, node_samples=3, subset_size=3),
-    ], ids=["default", "small"])
-    def test_every_budget_bounds_its_tester(self, constants):
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+    def test_every_budget_bounds_its_tester(self, small, monkeypatch):
+        if small:  # tester and budget read the same patched counts
+            monkeypatch.setattr(dt, "C_EDGES", 1e-3)
+            monkeypatch.setattr(dt, "triple_samples", lambda eps: 5)
+            monkeypatch.setattr(dt, "node_samples", lambda eps: 3)
+            monkeypatch.setattr(dt, "subset_size", lambda eps: 3)
         for n in (3, 4):
             for g in all_signed_graphs(n):
                 for eps, sd in ((0.5, 0), (0.5, 1), (1.0, 2)):
                     budgets = (
-                        (dt.test_triangle_dense(DenseOracle(g), PPM, dt.DenseParams(eps, sd),
-                                                constants), dt.triangle_budget(eps, constants)),
-                        (dt.test_balance_dense(DenseOracle(g), eps, sd, constants),
-                         dt.balance_budget(eps, constants)),
-                        (dt.test_clusterability_dense(DenseOracle(g), eps, sd, constants),
-                         dt.clusterability_budget(eps, constants)))
+                        (dt.test_triangle_dense(DenseOracle(g), PPM, dt.DenseParams(eps, sd)),
+                         dt.triangle_budget(eps)),
+                        (dt.test_balance_dense(DenseOracle(g), eps, sd), dt.balance_budget(eps)),
+                        (dt.test_clusterability_dense(DenseOracle(g), eps, sd),
+                         dt.clusterability_budget(eps)))
                     for v, budget in budgets:
                         assert v.queries_used <= budget
 
@@ -258,16 +255,15 @@ class TestClusterabilityDense:
             assert v.exact_fallback
             assert v.details["estimate"] == pytest.approx(30.0)
 
-    def test_rejection_rate_monotone_in_planted_density(self):
+    def test_rejection_rate_monotone_in_planted_density(self, monkeypatch):
         # fixed threshold 17 at N=150; rates measured ~0.10 / 0.40 / 0.78
         N = 150
         eps = 34 / (N * N)
+        monkeypatch.setattr(dt, "subset_size", lambda eps: 100)
         rates = []
         for t in (10, 30, 50):
             o = DenseOracle(_partial_bad_triangles(N, t))
-            rej = sum(not dt.test_clusterability_dense(
-                          o, eps, sd, constants=dt.DenseConstants(subset_size=100)).accept
-                      for sd in range(200))
+            rej = sum(not dt.test_clusterability_dense(o, eps, sd).accept for sd in range(200))
             rates.append(rej / 200)
         assert rates[0] <= rates[1] + 0.05
         assert rates[1] <= rates[2] + 0.05
@@ -290,12 +286,12 @@ class TestFrustrationEstimate:
         est = dt.frustration_estimate_dense(DenseOracle(g), 0.1, 0)
         assert est == pytest.approx(0.0)
 
-    def test_sampling_path_stays_within_contract(self):
+    def test_sampling_path_stays_within_contract(self, monkeypatch):
         g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 300))
         o = DenseOracle(g)
+        monkeypatch.setattr(dt, "subset_size", lambda eps: 80)
         for sd in range(30):
-            est = dt.frustration_estimate_dense(o, 0.3, sd,
-                                                constants=dt.DenseConstants(subset_size=80))
+            est = dt.frustration_estimate_dense(o, 0.3, sd)
             assert abs(est - 100) <= 0.3 * 300 * 300
 
     def test_local_search_never_underestimates(self):

@@ -400,7 +400,9 @@ def sgl_path(tmp_path_factory):
 def _line_reader(path, bound):
     """The graph the line reader alone builds from the file, or its error."""
     with open(path, encoding="utf-8") as fh:
-        return core._read_lines(fh, bound)
+        lines = core._data_lines(fh)
+        _, n, m = core._header(lines)
+        return core._read_edges(lines, n, m, bound)
 
 
 @FUZZ
@@ -409,8 +411,8 @@ def test_load_edge_list_builds_what_the_line_reader_builds(sgl_path, case):
     text, bound, plain = case
     sgl_path.write_bytes(text.encode())
     want = _line_reader(sgl_path, bound)
-    # a plain text never reaches the line reader
-    skip_lines = mock.patch.object(core, "_data_lines", side_effect=AssertionError("line reader"))
+    # a plain text's body never reaches the line reader
+    skip_lines = mock.patch.object(core, "_read_edges", side_effect=AssertionError("line reader"))
     with skip_lines if plain else contextlib.nullcontext():
         got = [load_edge_list(sgl_path, bound), load_edge_list(io.StringIO(text), bound)]
     for g in got:

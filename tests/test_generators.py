@@ -198,8 +198,8 @@ class TestDeterminismAndValidity:
             assert dumps_edge_list(g1) == dumps_edge_list(g2), spec.family
 
     def test_saved_instances_load_without_the_line_reader(self, tmp_path, monkeypatch):
-        # save_edge_list writes the plain form, which the loader builds whole
-        monkeypatch.setattr(core, "_data_lines", mock.Mock(side_effect=AssertionError))
+        # save_edge_list writes the plain form, whose body the loader builds whole
+        monkeypatch.setattr(core, "_read_edges", mock.Mock(side_effect=AssertionError))
         specs = _sample_specs(seed=5)
         assert {spec.family for spec in specs} == set(FAMILIES)
         for spec in specs:
@@ -335,8 +335,26 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=msg):
             generate(GenSpec(**spec))
 
+    @pytest.mark.parametrize("spec, message", [
+        (dict(family=ALL_NEGATIVE_REGULAR, n=10**5, d=1000), "n=100000 with d=1000"),
+        (dict(family=PLANTED_NEGATIVE_MATCHING, n=4_000_000), "n=4000000 with d=8"),  # default d
+        (dict(family=BALANCED_TWO_SIDE, n=4_000_000, d=5), "n=4000000 with d=5"),
+        (dict(family=PLANTED_NEGATIVE_MATCHING, n=2_000_001), "n=2000001 with d=8"),  # 8,000,004
+        (dict(family=CLUSTERABLE_COMMUNITIES, n=3_200_001, d=5), "n=3200001 with d=5"),
+    ])
+    def test_sparse_specs_over_the_edge_cap_are_refused(self, spec, message):
+        # constructed only: generating one where the check is missing takes gigabytes
+        with pytest.raises(ValueError, match=f"{message} allows more than 8,000,000 edges"):
+            GenSpec(**spec)
+
     def test_sizes_at_the_caps_are_accepted(self):
         # specs only, never generated: building one would take gigabytes
         GenSpec(DISJOINT_BAD_TRIANGLES, core.MAX_NODES)
         GenSpec(BALANCED_TWO_SIDE, 4000)  # the largest complete form: 7,998,000 edges
-        GenSpec(CLUSTERABLE_COMMUNITIES, 4001, d=8)  # a sparse form takes any n up to the cap
+        GenSpec(CLUSTERABLE_COMMUNITIES, 4001, d=8)  # a sparse form is held to n*d/2 edges
+        # a sparse form at n*d/2 = 8,000,000, d given or the family's default
+        assert GenSpec(PLANTED_NEGATIVE_MATCHING, 2_000_000).degree == 8
+        GenSpec(ALL_NEGATIVE_REGULAR, 4_000_000, d=4)
+        GenSpec(BALANCED_TWO_SIDE, 3_200_000, d=5)
+        # a triangle spec's d only bounds the degree: about n edges at any d
+        GenSpec(DISJOINT_BAD_TRIANGLES, core.MAX_NODES, d=10**9)

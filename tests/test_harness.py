@@ -34,6 +34,8 @@ from signedtest.harness import (
 # cheap walk budgets so walk-path runs stay fast in unit tests
 CHEAP_WALKS = dict(allow_exact_fallback=False, c1=1.0, c2=0.02, c3=0.05,
                    walk_len_log_exponent=0)
+WALK_KNOBS = ["c1", "c2", "c3", "c4", "c5", "c6", "walk_len_log_exponent",
+              "allow_exact_fallback"]
 
 
 def test_every_public_name_resolves():
@@ -105,11 +107,9 @@ class TestConfig:
         {"eps": 1.5},
         {"trials": 0},
         {"model": "bounded", "c2": -1.0},
-        {"node_samples": 0},
         {"property": "triangle", "pattern": "+-"},
         {"property": "triangle", "pattern": "+*-"},
         {"model": "bounded", "c1": float("inf")},
-        {"c_b": float("nan")},
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -134,7 +134,7 @@ class TestRunExperiment:
                                trials=6, seed=11)
         rep = run_experiment(cfg)
         d = rep.to_dict()
-        assert d["schema_version"] == 1
+        assert d["schema_version"] == 2
         assert d["aggregates"]["reject_rate"] == 0.0
         assert d["aggregates"]["rejects"] == 0
         assert [r["trial"] for r in d["trials"]] == list(range(6))
@@ -205,6 +205,19 @@ class TestRunExperiment:
         assert sched["starts"] >= 1 and sched["walks_per_start"] >= 1
         assert sched["walk_length"] >= 1
 
+    @pytest.mark.parametrize("model, prop, keys", [
+        ("dense", "triangle", ["triple_samples"]),
+        ("dense", "balance", ["node_samples"]),
+        ("dense", "clusterability", ["subset_size"]),
+        ("bounded", "triangle", ["triangle_samples"]),
+        ("bounded", "balance", [*WALK_KNOBS, "schedule"]),
+        ("bounded", "clusterability", [*WALK_KNOBS, "schedule"]),
+    ])
+    def test_resolved_constants_name_what_each_tester_reads(self, model, prop, keys):
+        cfg = ExperimentConfig(property=prop, model=model, eps=0.5,
+                               instance=GenSpec(BALANCED_TWO_SIDE, 20, d=4), trials=1)
+        assert list(run_experiment(cfg).resolved_constants) == keys
+
 
 # ---------------------------------------------------------------------------
 # run_scaling
@@ -239,7 +252,7 @@ class TestRunScaling:
 
     def test_table_shape_and_csv(self, tmp_path):
         table = run_scaling(self.cfg(), [150, 300, 600])
-        assert table["schema_version"] == 1
+        assert table["schema_version"] == 2
         assert [p["n"] for p in table["points"]] == [150, 300, 600]
         assert all(p["mean_queries"] > 0 for p in table["points"])
         # sublinear walk budget: grows, but clearly slower than n
@@ -343,8 +356,10 @@ class TestCli:
          "n must be between 1 and 4,000,000"),
         (["gen", "--family", "balanced-two-side", "--n", "4002", "--out", "{out}"], "",
          "the complete form with n=4002 has more than 8,000,000 edges"),
+        (["gen", "--family", "planted-negative-matching", "--n", "2000001", "--out", "{out}"],
+         "", "n=2000001 with d=8 allows more than 8,000,000 edges"),
     ], ids=["exact-sgl-header", "gen-n", "sgl-n-just-over", "sgl-m-just-over",
-            "gen-n-just-over", "gen-complete-just-over"])
+            "gen-n-just-over", "gen-complete-just-over", "gen-sparse-just-over"])
     def test_unallocatable_size_is_a_one_line_error(self, tmp_path, capsys, argv, header,
                                                     message):
         huge = tmp_path / "huge.sgl"
@@ -374,7 +389,7 @@ class TestCli:
                        "--out", str(rep_path)])
         assert rc == 0
         rep = json.loads(rep_path.read_text())
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["aggregates"]["reject_rate"] == 1.0
         assert rep["aggregates"]["all_reject_witnesses_valid"] is True
 
@@ -446,8 +461,6 @@ class TestCli:
          "c1 must be positive and finite"),
         (["--model", "bounded", "--property", "balance", "--c1", "nan"],
          "c1 must be positive and finite"),
-        (["--model", "dense", "--property", "balance", "--c-b", "inf"],
-         "c_b must be positive and finite"),
         (["--model", "dense", "--property", "triangle", "--pattern", "+*-"],
          "bad sign token '*', expected '+' or '-'"),
         # finite values whose budgets overflow or underflow
@@ -459,10 +472,12 @@ class TestCli:
         # overrides the selected tester does not read
         (["--model", "dense", "--property", "balance", "--c1", "5"],
          "the dense balance tester does not read c1\n"),
-        (["--model", "dense", "--property", "balance", "--triple-samples", "3"],
-         "the dense balance tester does not read triple_samples\n"),
-        (["--model", "bounded", "--property", "triangle", "--node-samples", "3"],
-         "the bounded triangle tester does not read node_samples\n"),
+        (["--model", "dense", "--property", "balance", "--c3", "3"],
+         "the dense balance tester does not read c3\n"),
+        (["--model", "dense", "--property", "triangle", "--walk-len-log-exponent", "0"],
+         "the dense triangle tester does not read walk_len_log_exponent\n"),
+        (["--model", "bounded", "--property", "triangle", "--c5", "3"],
+         "the bounded triangle tester does not read c5\n"),
         (["--model", "dense", "--property", "balance", "--no-exact-fallback"],
          "the dense balance tester does not read allow_exact_fallback\n"),
         (["--model", "dense", "--property", "clusterability", "--no-exact-fallback"],
@@ -470,11 +485,11 @@ class TestCli:
         (["--model", "dense", "--property", "triangle", "--no-exact-fallback"],
          "the dense triangle tester does not read allow_exact_fallback\n"),
         (["--model", "dense", "--property", "balance", "--c1", "5", "--no-exact-fallback",
-          "--triple-samples", "3"],
-         "the dense balance tester does not read c1, allow_exact_fallback, triple_samples\n"),
-    ], ids=["c1-inf", "c1-nan", "c_b-inf", "pattern", "c2-1e308", "bounded-balance-eps",
+          "--c6", "3"],
+         "the dense balance tester does not read c1, c6, allow_exact_fallback\n"),
+    ], ids=["c1-inf", "c1-nan", "pattern", "c2-1e308", "bounded-balance-eps",
             "bounded-clusterability-eps", "dense-triangle-eps", "dense-clusterability-eps",
-            "unread-c1", "unread-triple-samples", "unread-node-samples",
+            "unread-c1", "unread-c3", "unread-walk-len-log-exponent", "unread-c5-bounded-triangle",
             "unread-fallback-dense-balance", "unread-fallback-dense-clusterability",
             "unread-fallback-dense-triangle", "unread-three"])
     def test_bad_numbers_are_a_one_line_error(self, tmp_path, capsys, args, message):
