@@ -10,7 +10,6 @@ from .core import (
     load_edge_list,
     save_edge_list,
     validate,
-    zaslavsky_transform,
 )
 from .generators import GenSpec, generate
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, run_scaling, wilson
@@ -34,6 +33,5 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
     "validate",
-    "zaslavsky_transform",
     "__version__",
 ]

@@ -154,26 +154,34 @@ def read_whole_graph(o: BoundedDegreeOracle) -> SignedGraph:
     return SignedGraph(o.n, tuple(map(o.neighbors, range(o.n))), o.d)
 
 
+def walk_schedule(schedule, n: int, d: int, eps: float,
+                  constants: BoundedConstants) -> WalkParams | None:
+    """``schedule(n, d, eps, constants)``, or None when no schedule is made:
+    the fallback is allowed and eps >= 1, so the whole graph is read."""
+    if constants.allow_exact_fallback and eps >= 1.0:
+        return None
+    return schedule(n, d, eps, constants)
+
+
 def _walk_tester(o: BoundedDegreeOracle, eps: float, seed, constants: BoundedConstants,
                  schedule, budget, check, search) -> Verdict:
     """Frame shared by the two walk testers.
 
-    ``schedule(n, d, eps, constants)`` gives the WalkParams and
-    ``budget(params, d)`` the most queries their walks can spend. When the
-    fallback is allowed and eps >= 1 (then no schedule is made) or that
-    budget exceeds the N*d of reading the whole graph, ``check(g) -> (ok,
-    witness)`` answers exactly on the graph read whole. Otherwise
-    ``search(o, params, rng)`` runs once per start; a witness rejects.
+    ``walk_schedule`` gives the WalkParams and ``budget(params, d)`` the
+    most queries their walks can spend. When no schedule is made, or the
+    fallback is allowed and that budget exceeds the N*d of reading the whole
+    graph, ``check(g) -> (ok, witness)`` answers exactly on the graph read
+    whole. Otherwise ``search(o, params, rng)`` runs once per start; a
+    witness rejects.
     """
     if o.d < 2 or o.n < 2:
         raise ValueError("needs degree bound >= 2 and N >= 2")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    fallback = constants.allow_exact_fallback
-    if not (fallback and eps >= 1.0):
-        p = schedule(o.n, o.d, eps, constants)
+    p = walk_schedule(schedule, o.n, o.d, eps, constants)
+    if p is not None:
         limit = budget(p, o.d)
-        fallback = fallback and limit > o.n * o.d
+    fallback = p is None or (constants.allow_exact_fallback and limit > o.n * o.d)
     start = o.query_count
     if fallback:
         ok, witness = check(read_whole_graph(o))

@@ -1,4 +1,4 @@
-"""Core signed-graph data types, validation, file I/O, and graph transforms.
+"""Core signed-graph data types, validation, file I/O, and G2 node ids.
 
 A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
@@ -38,10 +38,6 @@ class Sign(IntEnum):
 
     PLUS = 0
     MINUS = 1
-
-    @property
-    def token(self) -> str:
-        return "+" if self is Sign.PLUS else "-"
 
     @classmethod
     def from_token(cls, tok: str) -> "Sign":
@@ -170,9 +166,6 @@ class SignedGraph:
         """Sign of edge (u,v), or None if absent."""
         return self._sign_map[u].get(v) if 0 <= u < self.n else None
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Each edge once, as (u, v, sign) with u < v, sorted."""
         out = [(u, v, s) for u in range(self.n) for v, s in self.adj[u] if u < v]
@@ -182,13 +175,6 @@ class SignedGraph:
     @cached_property
     def num_edges(self) -> int:
         return sum(map(len, self.adj)) // 2
-
-    @cached_property
-    def num_positive_edges(self) -> int:
-        return sum(1 for _, _, s in self.edges() if s == Sign.PLUS)
-
-    def max_degree(self) -> int:
-        return max((len(l) for l in self.adj), default=0)
 
 
 def validate(g: SignedGraph) -> str | None:
@@ -332,12 +318,6 @@ def _write(g: SignedGraph, fh: TextIO) -> None:
         fh.write(f"{u} {v} {'+-'[s]}\n")
 
 
-def dumps_edge_list(g: SignedGraph) -> str:
-    buf = io.StringIO()
-    _write(g, buf)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Derived graphs
 # ---------------------------------------------------------------------------
@@ -370,44 +350,6 @@ def csr_rows(adj: tuple[tuple[tuple[int, int], ...], ...],
         csr = indexes["csr"] = (indptr, np.append(pairs[0::2], -1),
                                 np.append(pairs[1::2], -1).astype(np.int8))
     return csr
-
-
-@dataclass(frozen=True)
-class UnsignedGraph:
-    """Plain undirected graph produced by the subdivision transform."""
-
-    n: int
-    adj: tuple[tuple[int, ...], ...]
-    degree_bound: int | None = None
-
-    def num_edges(self) -> int:
-        return sum(len(l) for l in self.adj) // 2
-
-
-def zaslavsky_transform(g: SignedGraph) -> tuple[UnsignedGraph, tuple[int, ...]]:
-    """Subdivide each positive edge with a fresh midpoint; keep negative edges.
-
-    Returns the unsigned result and a provenance map: entry i is the id of
-    node i's source, the original vertex or the ``midpoint`` of its edge.
-    The result is bipartite exactly when g is balanced, and its minimum
-    edge-deletion distance to bipartiteness equals g's frustration index.
-    """
-    pos_edges = [(u, v) for u, v, s in g.edges() if s == Sign.PLUS]
-    prov = [*range(g.n), *(midpoint(g.n, u, v) for u, v in pos_edges)]
-    lists: list[list[int]] = [[] for _ in range(len(prov))]
-    for idx, (u, v) in enumerate(pos_edges):
-        w = g.n + idx
-        lists[u].append(w)
-        lists[w].append(u)
-        lists[v].append(w)
-        lists[w].append(v)
-    for u, v, s in g.edges():
-        if s == Sign.MINUS:
-            lists[u].append(v)
-            lists[v].append(u)
-    bound = None if g.degree_bound is None else max(g.degree_bound, 2)
-    gp = UnsignedGraph(len(prov), tuple(tuple(l) for l in lists), bound)
-    return gp, tuple(prov)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +409,3 @@ class Clustering:
                 remap[lab] = len(remap)
             out.append(remap[lab])
         return cls(tuple(out), len(remap))
-
-    def clusters(self) -> list[list[int]]:
-        groups: list[list[int]] = [[] for _ in range(self.k)]
-        for node, c in enumerate(self.assignment):
-            groups[c].append(node)
-        return groups

@@ -2,8 +2,8 @@
 
 These run in time polynomial (checkers) or exponential (distances) in the
 graph size and serve as ground truth for the sublinear testers: balance,
-clusterability, signed-triangle search, frustration indices, the small-cluster
-merge step, and witness verification.
+clusterability, signed-triangle search, frustration indices, and witness
+verification.
 
 Balance and clusterability share one BFS forest. A violating edge (u, v)
 closes the witness through ``forest_paths``, which the walk testers use too:
@@ -278,50 +278,6 @@ def triangle_free_distance(g: SignedGraph, pattern: Sequence[Sign | str] | str) 
 
     rec(frozenset(), 0)
     return best
-
-
-# ---------------------------------------------------------------------------
-# Cluster surgery
-# ---------------------------------------------------------------------------
-
-
-def merge_small_clusters(clustering: Clustering, n: int, eps: float) -> Clustering:
-    """Keep clusters of size >= eps*n; greedily merge the rest (first-fit in
-    cluster-id order) into groups of size in [eps*n, 2*eps*n), except possibly
-    one undersized remainder. The result has at most ceil(1/eps) clusters."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n != len(clustering.assignment):
-        raise ValueError("n disagrees with the clustering size")
-    threshold = eps * n
-    sizes = [0] * clustering.k
-    for c in clustering.assignment:
-        sizes[c] += 1
-    remap: dict[int, int] = {}
-    next_id = 0
-    for cid in range(clustering.k):
-        if sizes[cid] >= threshold:
-            remap[cid] = next_id
-            next_id += 1
-    group_size = 0
-    group_open = False
-    for cid in range(clustering.k):
-        if cid in remap:
-            continue
-        if not group_open:
-            group_open = True
-            group_size = 0
-        remap[cid] = next_id
-        group_size += sizes[cid]
-        if group_size >= threshold:
-            group_open = False
-            next_id += 1
-    if group_open:
-        next_id += 1  # undersized remainder group
-    merged = Clustering(tuple(remap[c] for c in clustering.assignment), next_id)
-    # guaranteed by the size accounting; 1e-9 guards float noise in 1/eps
-    assert merged.k <= int(np.ceil(1.0 / eps - 1e-9))
-    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class ExperimentConfig:
     """One tester, one instance, many seeded trials.
 
     ``instance`` is either a GenSpec or a path to an .sgl file (pass ``d``
-    to attach a degree bound to file-loaded graphs for the bounded model).
+    to attach a degree bound to file-loaded graphs for the bounded model; a
+    GenSpec's ``d`` must equal its degree).
     Override fields left as None use the tester defaults; only the walk
     testers read them, and setting one for another tester is an error.
     """
@@ -117,6 +118,9 @@ class ExperimentConfig:
             raise ValueError("eps must be in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if isinstance(self.instance, GenSpec) and self.d not in (None, self.instance.degree):
+            raise ValueError(f"d={self.d} disagrees with the instance's degree "
+                             f"{self.instance.degree}")
         self.constants()
         if self.property == "triangle":
             exact.triangle_pattern(self.pattern)
@@ -153,6 +157,15 @@ def load_instance(cfg: ExperimentConfig) -> SignedGraph:
     return g
 
 
+def _schedule(schedule):
+    """Derive a walk tester's schedule as a dict; None when it reads the whole
+    graph without one (bt.walk_schedule)."""
+    def derive(cfg, g, c):
+        p = bt.walk_schedule(schedule, g.n, g.degree_bound, cfg.eps, c)
+        return None if p is None else dataclasses.asdict(p)
+    return derive
+
+
 # (model, property) -> (derived, run). derived maps each value the tester
 # derives, reported in resolved_constants after the walk knobs, to a function
 # of (cfg, g, c); run(cfg, o, c, rng) calls the tester on a fresh oracle o.
@@ -172,12 +185,10 @@ TESTERS = {
         {"triangle_samples": lambda cfg, g, c: bt.triangle_samples(cfg.eps)},
         lambda cfg, o, c, rng: bt.test_triangle_bounded(o, cfg.pattern, cfg.eps, rng)),
     ("bounded", "balance"): (
-        {"schedule": lambda cfg, g, c: dataclasses.asdict(
-            bt.balance_walk_schedule(g.n, g.degree_bound, cfg.eps, c))},
+        {"schedule": _schedule(bt.balance_walk_schedule)},
         lambda cfg, o, c, rng: bt.test_balance_bounded(o, cfg.eps, rng, constants=c)),
     ("bounded", "clusterability"): (
-        {"schedule": lambda cfg, g, c: dataclasses.asdict(
-            bt.cluster_walk_schedule(g.n, g.degree_bound, cfg.eps, c))},
+        {"schedule": _schedule(bt.cluster_walk_schedule)},
         lambda cfg, o, c, rng: bt.test_clusterability_bounded(o, cfg.eps, rng, constants=c)),
 }
 ORACLES = {"dense": DenseOracle, "bounded": BoundedDegreeOracle}
@@ -225,17 +236,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-def strip_wall_times(report_dict: dict) -> dict:
-    """Deep copy with every wall-time field zeroed (determinism compares)."""
-    out = json.loads(json.dumps(report_dict))
-    for row in out.get("trials", []):
-        row["wall_time_s"] = 0.0
-    agg = out.get("aggregates", {})
-    if "mean_wall_time_s" in agg:
-        agg["mean_wall_time_s"] = 0.0
-    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -1,12 +1,19 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the references tests compare
+against: the explicit positive-edge subdivision G2, which the walk testers
+never build, the small-cluster merge behind the dense tester's k, and the
+one-walk-at-a-time and row-scoring forms of the testers' inner loops."""
 
 from __future__ import annotations
 
+import io
 import itertools
+from dataclasses import dataclass
+
+import numpy as np
 
 from signedtest import bounded_testers as bt
 from signedtest import exact
-from signedtest.core import Sign, SignedGraph, midpoint
+from signedtest.core import Clustering, Sign, SignedGraph, midpoint, save_edge_list
 from signedtest.dense_testers import LOCAL_SEARCH_MOVE_FACTOR, LOCAL_SEARCH_RESTARTS
 from signedtest.exact import forest_paths
 from signedtest.oracles import _chunked_draws, _chunked_integers
@@ -16,6 +23,13 @@ _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(1, 6)}
 
 def make_graph(n, edges, d=None):
     return SignedGraph.from_edges(n, edges, degree_bound=d)
+
+
+def sgl_text(g):
+    """g as the .sgl text save_edge_list writes."""
+    buf = io.StringIO()
+    save_edge_list(g, buf)
+    return buf.getvalue()
 
 
 def triangle(s01, s12, s02, d=None):
@@ -158,3 +172,80 @@ def local_search_scoring_each_candidate_from_its_row(g, k, rng):
         if best == 0:
             break
     return int(best)
+
+
+@dataclass(frozen=True)
+class UnsignedGraph:
+    """Plain undirected graph produced by the subdivision transform."""
+
+    n: int
+    adj: tuple[tuple[int, ...], ...]
+    degree_bound: int | None = None
+
+    def num_edges(self) -> int:
+        return sum(len(l) for l in self.adj) // 2
+
+
+def zaslavsky_transform(g: SignedGraph) -> tuple[UnsignedGraph, tuple[int, ...]]:
+    """Subdivide each positive edge with a fresh midpoint; keep negative edges.
+
+    Returns the unsigned result and a provenance map: entry i is the id of
+    node i's source, the original vertex or the ``midpoint`` of its edge.
+    The result is bipartite exactly when g is balanced, and its minimum
+    edge-deletion distance to bipartiteness equals g's frustration index.
+    """
+    pos_edges = [(u, v) for u, v, s in g.edges() if s == Sign.PLUS]
+    prov = [*range(g.n), *(midpoint(g.n, u, v) for u, v in pos_edges)]
+    lists: list[list[int]] = [[] for _ in range(len(prov))]
+    for idx, (u, v) in enumerate(pos_edges):
+        w = g.n + idx
+        lists[u].append(w)
+        lists[w].append(u)
+        lists[v].append(w)
+        lists[w].append(v)
+    for u, v, s in g.edges():
+        if s == Sign.MINUS:
+            lists[u].append(v)
+            lists[v].append(u)
+    bound = None if g.degree_bound is None else max(g.degree_bound, 2)
+    gp = UnsignedGraph(len(prov), tuple(tuple(l) for l in lists), bound)
+    return gp, tuple(prov)
+
+
+def merge_small_clusters(clustering: Clustering, n: int, eps: float) -> Clustering:
+    """Keep clusters of size >= eps*n; greedily merge the rest (first-fit in
+    cluster-id order) into groups of size in [eps*n, 2*eps*n), except possibly
+    one undersized remainder. The result has at most ceil(1/eps) clusters."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if n != len(clustering.assignment):
+        raise ValueError("n disagrees with the clustering size")
+    threshold = eps * n
+    sizes = [0] * clustering.k
+    for c in clustering.assignment:
+        sizes[c] += 1
+    remap: dict[int, int] = {}
+    next_id = 0
+    for cid in range(clustering.k):
+        if sizes[cid] >= threshold:
+            remap[cid] = next_id
+            next_id += 1
+    group_size = 0
+    group_open = False
+    for cid in range(clustering.k):
+        if cid in remap:
+            continue
+        if not group_open:
+            group_open = True
+            group_size = 0
+        remap[cid] = next_id
+        group_size += sizes[cid]
+        if group_size >= threshold:
+            group_open = False
+            next_id += 1
+    if group_open:
+        next_id += 1  # undersized remainder group
+    merged = Clustering(tuple(remap[c] for c in clustering.assignment), next_id)
+    # guaranteed by the size accounting; 1e-9 guards float noise in 1/eps
+    assert merged.k <= int(np.ceil(1.0 / eps - 1e-9))
+    return merged

@@ -21,12 +21,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import chisquare
 
-from conftest import all_signed_graphs, random_signed_graph
+from conftest import all_signed_graphs, merge_small_clusters, random_signed_graph, zaslavsky_transform
 from signedtest import cli, exact
 from signedtest import bounded_testers as bt
 from signedtest import dense_testers as dt
 from signedtest.bounded_testers import sample_gprime_node
-from signedtest.core import Sign, SignedGraph, save_edge_list, zaslavsky_transform
+from signedtest.core import Sign, SignedGraph, save_edge_list
 from signedtest.dense_testers import DenseParams, frustration_estimate_dense
 from signedtest.generators import (
     ALL_NEGATIVE_REGULAR,
@@ -91,7 +91,7 @@ def _pattern_free():
 
 
 def _with_bound(g: SignedGraph) -> SignedGraph:
-    return dataclasses.replace(g, degree_bound=max(2, g.max_degree()))
+    return dataclasses.replace(g, degree_bound=max(2, max(map(len, g.adj))))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def test_criterion_07_cluster_merging_respects_budgets():
     def check(g: SignedGraph, clustering) -> None:
         nonlocal checked
         for eps in eps_values:
-            merged = exact.merge_small_clusters(clustering, g.n, eps)
+            merged = merge_small_clusters(clustering, g.n, eps)
             assert merged.k <= math.ceil(1 / eps - 1e-9)
             assert set(merged.assignment) == set(range(merged.k))
             assert _violations(g, merged.assignment) <= 4 * eps * g.n * g.n

@@ -19,7 +19,7 @@ from signedtest.generators import (
     GenSpec,
     generate,
 )
-from signedtest.oracles import DenseOracle, _chunked_integers
+from signedtest.oracles import DenseOracle, RandomSource, _chunked_integers
 
 from conftest import all_signed_graphs, make_graph, random_signed_graph, triangle
 
@@ -82,12 +82,16 @@ class TestTriangleDense:
     def test_budget_respected_and_degenerate_triples_free(self, monkeypatch):
         g = make_graph(3, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.PLUS)])
         o = DenseOracle(g)
+        default = dt.triple_samples(1.0)
         monkeypatch.setattr(dt, "triple_samples", lambda eps: 500)
         v = dt.test_triangle_dense(o, PPM, dt.DenseParams(eps=1.0, seed=1))
         assert v.accept
-        # distinct triples cost 3 queries, degenerate ones cost none
-        assert v.queries_used == o.query_count
-        assert v.queries_used < 3 * 500
+        # distinct triples cost 3 queries, degenerate ones cost none; more
+        # distinct triples than the default count shows the 500 were drawn
+        triples = _chunked_integers(RandomSource(1).stream(), 0, 3, 500, 3)
+        distinct = sum(len({a, b, c}) == 3 for a, b, c in triples)
+        assert distinct > default
+        assert v.queries_used == o.query_count == 3 * distinct
 
     @pytest.mark.parametrize("n", [3, 7, 1000, 2**40])
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 12289])

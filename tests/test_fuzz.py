@@ -27,7 +27,6 @@ from signedtest.core import (
     Sign,
     SignedGraph,
     WitnessKind,
-    dumps_edge_list,
     load_edge_list,
     midpoint,
 )
@@ -37,6 +36,7 @@ from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 from conftest import (
     local_search_scoring_each_candidate_from_its_row,
     parity_search_walking_one_walk_at_a_time,
+    sgl_text,
 )
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
@@ -102,8 +102,8 @@ def _rows(n, edges):
 @given(edge_lists())
 def test_sgl_roundtrip_is_byte_identical(case):
     n, edges = case
-    text = dumps_edge_list(SignedGraph.from_edges(n, edges))
-    assert dumps_edge_list(load_edge_list(io.StringIO(text))) == text
+    text = sgl_text(SignedGraph.from_edges(n, edges))
+    assert sgl_text(load_edge_list(io.StringIO(text))) == text
     lines = text.splitlines()
     assert lines[0] == f"{n} {len(edges)}"
     want = sorted((min(u, v), max(u, v), "+-"[_stored(s)]) for u, v, s in edges)

@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import binomtest, norm
 
 import signedtest
+from signedtest import bounded_testers as bt
 from signedtest import cli
 from signedtest.core import Sign, Witness, WitnessKind, save_edge_list
 from signedtest.generators import (
@@ -24,12 +25,12 @@ from signedtest.harness import (
     ExperimentConfig,
     run_experiment,
     run_scaling,
-    strip_wall_times,
     wilson,
     witness_from_json,
     witness_to_json,
     write_scaling_csv,
 )
+from signedtest.oracles import BoundedDegreeOracle, RandomSource
 
 # cheap walk budgets so walk-path runs stay fast in unit tests
 CHEAP_WALKS = dict(allow_exact_fallback=False, c1=1.0, c2=0.02, c3=0.05,
@@ -110,6 +111,7 @@ class TestConfig:
         {"property": "triangle", "pattern": "+-"},
         {"property": "triangle", "pattern": "+*-"},
         {"model": "bounded", "c1": float("inf")},
+        {"model": "bounded", "instance": GenSpec(DISJOINT_BAD_TRIANGLES, 30, d=2), "d": 7},
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -161,9 +163,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(property="balance", model="bounded", eps=0.9,
                                instance=GenSpec(BALANCED_TWO_SIDE, 150, d=4),
                                trials=4, seed=5, **CHEAP_WALKS)
-        a = strip_wall_times(run_experiment(cfg).to_dict())
-        b = strip_wall_times(run_experiment(cfg).to_dict())
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        a, b = ([ln for ln in run_experiment(cfg).to_json().splitlines() if "wall_time" not in ln]
+                for _ in range(2))
+        assert a == b
 
     def test_seed_changes_trials(self):
         spec = GenSpec(DISJOINT_BAD_TRIANGLES, 90)
@@ -404,6 +406,23 @@ class TestCli:
         assert rep["resolved_constants"]["allow_exact_fallback"] is False
         assert rep["aggregates"]["reject_rate"] == 0.0
         assert not any(r["exact_fallback"] for r in rep["trials"])
+
+    @pytest.mark.parametrize("prop, knob, tester", [
+        ("balance", "c2", bt.test_balance_bounded),
+        ("clusterability", "c5", bt.test_clusterability_bounded),
+    ])
+    def test_eps_one_fallback_reports_no_schedule(self, capsys, prop, knob, tester):
+        # the fallback answers without a schedule, which at this knob overflows
+        rc = cli.main(["test", "--model", "bounded", "--property", prop, "--eps", "1",
+                       "--trials", "1", "--family", "disjoint-bad-triangles", "--n", "30",
+                       f"--{knob}", "1e308"])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["resolved_constants"]["schedule"] is None
+        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 30))
+        v = tester(BoundedDegreeOracle(g), 1.0, RandomSource(0).stream(0),
+                   constants=bt.BoundedConstants(**{knob: 1e308}))
+        assert [r["decision"] for r in rep["trials"]] == [v.decision]
 
     def test_verify_subcommand(self, tmp_path, capsys):
         gpath = tmp_path / "g.sgl"
