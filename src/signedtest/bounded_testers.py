@@ -14,11 +14,11 @@ edge): it walks on the positive subgraph only, reads each node's row at its
 first visit, and stops at the first negative edge into the visited set.
 
 Both walk searches draw a start's randomness for all its walks in chunks.
-The balance search then advances a start's walks together, a group at a
-time, with one batch oracle read (``query_batch``) per step, and reads the
-first collision in walk order off the group that collides: its decisions,
-witnesses and accept costs are those of running the walks one after another,
-and a reject also pays for the rest of its last group.
+The balance search then advances a start's walks together, a block at a
+time, with one batch oracle read (``query_batch``) per step, and adds each
+block's first arrivals, in walk order, to one walk forest until one meets
+its other parity: decisions, witnesses and accept costs are those of
+walking one walk after another, and a reject pays for its whole last block.
 
 All three testers here are one-sided; every Reject carries a verifiable
 witness. When eps >= 1 or the walk budget would exceed the N*d cost of just
@@ -65,6 +65,11 @@ class BoundedConstants:
         for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        # bool is an int subclass, and any object passes for a truth value
+        if type(self.walk_len_log_exponent) is not int or self.walk_len_log_exponent < 0:
+            raise ValueError("walk_len_log_exponent must be a non-negative integer")
+        if type(self.allow_exact_fallback) is not bool:
+            raise ValueError("allow_exact_fallback must be True or False")
 
 
 DEFAULT_CONSTANTS = BoundedConstants()
@@ -340,56 +345,35 @@ def _lockstep(o: BoundedDegreeOracle, state: np.ndarray, draws: np.ndarray) -> n
     return ids
 
 
-def _in_sorted(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Which entries of x occur in the sorted, nonempty array a."""
-    return a[np.minimum(np.searchsorted(a, x), len(a) - 1)] == x
-
-
 def _parity_search(o: BoundedDegreeOracle, p: WalkParams, rng) -> Witness | None:
     """Draw one G2 start and run its walks; a (node, parity) collision gives
     an odd-negative-cycle witness. None when the draw abstains or no walk
     collides.
 
-    The walks run in lockstep blocks (_walk_blocks, _lockstep). A start
-    collides exactly when the states its walks visit hold both parities of
-    one node, in whatever order the walks run, so each block is checked once
-    it has run. In walk order, the first collision is the earliest first
-    arrival of a state whose other parity arrived before it, which the
-    colliding block's first-arrival indices give. Decisions, witnesses and
-    accept costs are those of walking one walk after another; a reject pays
-    for every step of its last block."""
+    The walks run in lockstep blocks (_walk_blocks, _lockstep). Each block's
+    first arrivals, taken in walk order, fill one walk forest: parent maps a
+    walk state (2*id + parity) to the state it first arrived from. The first
+    arrival whose other parity is already in the forest collides, as it does
+    walking one walk after another, so decisions, witnesses and accept costs
+    are those of that search; a reject pays for every step of its last block."""
     s = _draw_start(o, rng)
     if s is None:
         return None
-    # walk states 2*id + parity: seen holds those visited, sorted, and
-    # came_from the state each first arrived from (-1 for the start)
-    seen, came_from = np.array([2 * s]), np.array([-1])
+    parent: dict[int, int | None] = {2 * s: None}
     for t, draws in _walk_blocks(rng, o.d, p.walks_per_start, p.walk_length):
         before = np.full(len(draws), 2 * s) if t == 0 else visits[:, -1].copy()
         visits = _lockstep(o, before, draws)
-        flat = visits.ravel()  # in walk order
-        new, first = np.unique(flat, return_index=True)
-        fresh = ~_in_sorted(seen, new)
-        new, first = new[fresh], first[fresh]
-        walk, step = np.divmod(first, visits.shape[1])
-        came = np.where(step > 0, flat[first - 1], before[walk])
-        at = np.searchsorted(seen, new)
-        merged = np.insert(seen, at, new)
-        if _in_sorted(merged, new ^ 1).any():
-            # the other parity's first arrival: -1 before the block, none
-            # (flat.size) when it never came; the later of the two collides
-            other = np.minimum(np.searchsorted(new, new ^ 1), len(new) - 1)
-            arrived = np.where(_in_sorted(seen, new ^ 1), -1,
-                               np.where(new[other] == new ^ 1, first[other], flat.size))
-            state = int(flat[np.maximum(first, arrived).min()])
-            parent = dict(zip(seen.tolist() + new.tolist(), came_from.tolist() + came.tolist()))
-            parent[2 * s] = None
-            up, down = exact.forest_paths(parent, state, state ^ 1)
-            # no node held both parities before state arrived, so the two
-            # paths share only its node, at their ends: a simple odd cycle
-            return _contract_to_g_cycle([x >> 1 for x in up + down[::-1]][:-1], o.n)
-        came_from = np.insert(came_from, at, came)
-        seen = merged
+        came = np.column_stack((before, visits[:, :-1]))
+        first = np.sort(np.unique(visits, return_index=True)[1])  # in walk order
+        for state, via in zip(visits.ravel()[first].tolist(), came.ravel()[first].tolist()):
+            if state in parent:
+                continue
+            parent[state] = via
+            if state ^ 1 in parent:
+                up, down = exact.forest_paths(parent, state, state ^ 1)
+                # no node held both parities before state arrived, so the two
+                # paths share only its node, at their ends: a simple odd cycle
+                return _contract_to_g_cycle([x >> 1 for x in up + down[::-1]][:-1], o.n)
     return None
 
 

@@ -660,6 +660,13 @@ class TestConfigValidation:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="c5 must be positive and finite"):
                 bt.BoundedConstants(c5=bad)
+        for bad in (-7, -1, True, False, 1.0, "1", None):
+            with pytest.raises(ValueError, match="walk_len_log_exponent must be a non-negative"):
+                bt.BoundedConstants(walk_len_log_exponent=bad)
+        for bad in ("no", 0, 1, None, np.bool_(True)):
+            with pytest.raises(ValueError, match="allow_exact_fallback must be True or False"):
+                bt.BoundedConstants(allow_exact_fallback=bad)
+        assert bt.BoundedConstants(walk_len_log_exponent=0, allow_exact_fallback=False)
 
     @pytest.mark.parametrize("tester, schedule, budget", [
         (bt.test_balance_bounded, "balance_walk_schedule", "balance_budget"),

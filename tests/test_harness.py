@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from signedtest.generators import (
     BALANCED_TWO_SIDE,
     CLUSTERABLE_COMMUNITIES,
     DISJOINT_BAD_TRIANGLES,
+    PLANTED_NEGATIVE_MATCHING,
     GenSpec,
     generate,
 )
@@ -166,6 +168,25 @@ class TestRunExperiment:
         a, b = ([ln for ln in run_experiment(cfg).to_json().splitlines() if "wall_time" not in ln]
                 for _ in range(2))
         assert a == b
+
+    # sha256 of the trial rows as the report writes them, wall times removed:
+    # any change to a verdict, witness or query count of these walk-path runs,
+    # or to a row's fields, changes the digest
+    @pytest.mark.parametrize("prop, eps, knobs, rejects, digest", [
+        ("balance", 0.9, CHEAP_WALKS, 7,
+         "73cba61854d41547698803fbdbb8d770726c2bdf4dad33cafaacde282d032d77"),
+        ("clusterability", 0.5, dict(allow_exact_fallback=False, c4=1.0, c5=0.05, c6=8.0,
+                                     walk_len_log_exponent=0), 2,
+         "058883a1668fb56fe00b20cf23df1de6a335c71264086b26b7e9cf901c06f9d2"),
+    ], ids=["balance", "clusterability"])
+    def test_walk_path_trial_rows_are_pinned(self, prop, eps, knobs, rejects, digest):
+        cfg = ExperimentConfig(property=prop, model="bounded", eps=eps,
+                               instance=GenSpec(PLANTED_NEGATIVE_MATCHING, 2000, d=4),
+                               trials=8, seed=7, **knobs)
+        rep = run_experiment(cfg)
+        assert rep.aggregates["rejects"] == rejects
+        rows = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rep.trials]
+        assert hashlib.sha256(json.dumps(rows, indent=2).encode()).hexdigest() == digest
 
     def test_seed_changes_trials(self):
         spec = GenSpec(DISJOINT_BAD_TRIANGLES, 90)
@@ -480,6 +501,8 @@ class TestCli:
          "c1 must be positive and finite"),
         (["--model", "bounded", "--property", "balance", "--c1", "nan"],
          "c1 must be positive and finite"),
+        (["--model", "bounded", "--property", "balance", "--walk-len-log-exponent", "-7"],
+         "walk_len_log_exponent must be a non-negative integer\n"),
         (["--model", "dense", "--property", "triangle", "--pattern", "+*-"],
          "bad sign token '*', expected '+' or '-'"),
         # finite values whose budgets overflow or underflow
@@ -506,8 +529,9 @@ class TestCli:
         (["--model", "dense", "--property", "balance", "--c1", "5", "--no-exact-fallback",
           "--c6", "3"],
          "the dense balance tester does not read c1, c6, allow_exact_fallback\n"),
-    ], ids=["c1-inf", "c1-nan", "pattern", "c2-1e308", "bounded-balance-eps",
-            "bounded-clusterability-eps", "dense-triangle-eps", "dense-clusterability-eps",
+    ], ids=["c1-inf", "c1-nan", "negative-walk-len-log-exponent", "pattern", "c2-1e308",
+            "bounded-balance-eps", "bounded-clusterability-eps", "dense-triangle-eps",
+            "dense-clusterability-eps",
             "unread-c1", "unread-c3", "unread-walk-len-log-exponent", "unread-c5-bounded-triangle",
             "unread-fallback-dense-balance", "unread-fallback-dense-clusterability",
             "unread-fallback-dense-triangle", "unread-three"])
