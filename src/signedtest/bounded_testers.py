@@ -30,6 +30,7 @@ answer exactly instead (flagged in the Verdict; disable via
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -63,7 +64,8 @@ class BoundedConstants:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
-            if not 0 < getattr(self, name) < math.inf:
+            c = getattr(self, name)  # a real number, NumPy's included, but not a bool
+            if not (isinstance(c, numbers.Real) and type(c) is not bool and 0 < c < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
         # bool is an int subclass, and any object passes for a truth value
         if type(self.walk_len_log_exponent) is not int or self.walk_len_log_exponent < 0:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain, pairwise, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -336,19 +337,20 @@ def midpoint(n: int, u: int, v: int) -> int:
 
 def csr_rows(adj: tuple[tuple[tuple[int, int], ...], ...],
              indexes: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A graph's rows ``adj`` as CSR arrays (indptr, nbr as int32, sign as
+    """A graph's rows ``adj`` as CSR arrays (indptr and nbr as int64, sign as
     int8), each row in insertion order; nbr and sign end with one -1 past the
-    last row, the answer read for an empty slot. Built at the first call and
-    kept in ``indexes``, the same graph's ``_indexes``."""
+    last row, the answer read for an empty slot. Built at the first call, each
+    array filled in place, and kept in ``indexes``, the same graph's
+    ``_indexes``."""
     csr = indexes.get("csr")
     if csr is None:
         n = len(adj)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(adj)),
-                            dtype=np.int32, count=2 * int(indptr[-1]))
-        csr = indexes["csr"] = (indptr, np.append(pairs[0::2], -1),
-                                np.append(pairs[1::2], -1).astype(np.int8))
+        count, flat = int(indptr[-1]) + 1, chain.from_iterable
+        nbr = np.fromiter(chain(map(itemgetter(0), flat(adj)), [-1]), dtype=np.int64, count=count)
+        sign = np.fromiter(chain(map(itemgetter(1), flat(adj)), [-1]), dtype=np.int8, count=count)
+        csr = indexes["csr"] = (indptr, nbr, sign)
     return csr
 
 

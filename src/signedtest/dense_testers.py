@@ -125,7 +125,7 @@ def _sample_unique_nodes(rng, n: int, samples: int) -> list[int]:
     if samples >= n:
         return list(range(n))
     drawn = rng.integers(0, n, size=samples)
-    return sorted(set(int(v) for v in drawn))
+    return sorted(set(drawn.tolist()))
 
 
 # ---------------------------------------------------------------------------

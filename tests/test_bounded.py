@@ -660,6 +660,13 @@ class TestConfigValidation:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="c5 must be positive and finite"):
                 bt.BoundedConstants(c5=bad)
+        # a bool is not a multiplier, and a non-real value is a ValueError, not a TypeError
+        for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
+            for bad in (True, False, np.bool_(True), "3", None, 2j, [2.0]):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    bt.BoundedConstants(**{name: bad})
+        reals = bt.BoundedConstants(c1=3, c2=0.5, c3=np.float32(2.0), c4=np.int64(4), c5=np.float64(1e-3))
+        assert reals.c4 == 4 and reals.c5 == 1e-3
         for bad in (-7, -1, True, False, 1.0, "1", None):
             with pytest.raises(ValueError, match="walk_len_log_exponent must be a non-negative"):
                 bt.BoundedConstants(walk_len_log_exponent=bad)

@@ -22,6 +22,7 @@ from signedtest.core import (
     save_edge_list,
     validate,
 )
+from signedtest import oracles
 from signedtest.bounded_testers import read_whole_graph
 from signedtest.exact import is_balanced
 from signedtest.generators import (
@@ -394,6 +395,9 @@ class TestAdjacencyNotTracked:
         o = DenseOracle(dense)
         _assert_adjacency_untracked(o.induced([7, 3, 12, 0, 19, 4]))
         assert type(o.query(0, 1)) is int and type(o.query(0, 19)) is int
+        large, _ = generate(GenSpec(BALANCED_TWO_SIDE, 100, seed=1))
+        nodes = np.random.default_rng(1).permutation(100)[:oracles._ARRAY_READ_MIN + 6].tolist()
+        _assert_adjacency_untracked(DenseOracle(large).induced(nodes))  # the array path
 
 
 class TestFrustrationMatchesSubdividedBipartiteDistance:

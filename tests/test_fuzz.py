@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedtest import bounded_testers as bt
-from signedtest import core
+from signedtest import core, oracles
 from signedtest import dense_testers as dt
 from signedtest.core import (
     GraphFormatError,
@@ -127,6 +127,22 @@ def test_oracles_return_the_input_signs_in_insertion_order(case):
         assert dense.query(u, w) == stored.get((u, w))
         assert dense.query(u, w) is None or type(dense.query(u, w)) is int
 
+
+
+@FUZZ
+@given(edge_lists(), st.data())
+def test_dense_induced_reads_the_same_graph_from_arrays_as_pair_by_pair(case, data):
+    n, edges = case
+    g = SignedGraph.from_edges(n, edges)
+    nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))  # any order
+    by_pair = DenseOracle(g)  # n <= 10 reads below the cutoff
+    with mock.patch.object(oracles, "_ARRAY_READ_MIN", 1):  # read at __init__ and at each read
+        by_arrays = DenseOracle(g)
+        got = by_arrays.induced(nodes)
+    assert "csr" in g._indexes
+    assert got == by_pair.induced(nodes)  # rows and their order alike
+    assert by_arrays.query_count == by_pair.query_count == len(nodes) * (len(nodes) - 1) // 2
+    assert all(type(w) is int and type(s) is int for row in got.adj for w, s in row)
 
 def _subdivision_is_bipartite(n, edges) -> bool:
     """networkx bipartiteness of the graph with every positive edge subdivided."""

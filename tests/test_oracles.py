@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signedtest import bounded_testers, dense_testers
+from signedtest import bounded_testers, dense_testers, oracles
 from signedtest.core import Sign, SignedGraph
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle, RandomSource
 
@@ -72,8 +72,19 @@ class TestDenseOracle:
 
     def test_induced_charges_every_pair_and_adds_edges_in_pair_order(self):
         rng = np.random.default_rng(3)
-        g = random_signed_graph(rng, 12, p_edge=0.5)
-        for nodes in ([5, 0, 11, 3, 7], [2, 9], [4], list(range(12))):
+        small = random_signed_graph(rng, 12, p_edge=0.5)
+        # nodes 130..199 have no edges, so their rows are empty
+        large = SignedGraph.from_edges(200, random_signed_graph(rng, 130, p_edge=0.2).edges())
+        above = [  # reads that take the array path
+            sorted(rng.choice(200, size=80, replace=False).tolist()),
+            rng.permutation(200)[:120].tolist(),
+            list(range(200)),
+            list(range(199, 129, -1)),
+            [*range(130, 170), *range(0, 30)],
+        ]
+        assert min(map(len, above)) >= oracles._ARRAY_READ_MIN
+        cases = [(small, nodes) for nodes in ([5, 0, 11, 3, 7], [2, 9], [4], list(range(12)))]
+        for g, nodes in cases + [(large, nodes) for nodes in above]:
             o, ref = DenseOracle(g), DenseOracle(g)
             got = o.induced(nodes)
             k = len(nodes)
@@ -84,12 +95,18 @@ class TestDenseOracle:
             expected = SignedGraph.from_edges(k, [e for e in edges if e[2] is not None])
             assert got == expected
 
-    @pytest.mark.parametrize("nodes", [[0, 1, 0], [0, 3], [-1, 2], []])
-    def test_induced_rejects_repeated_or_out_of_range_uncharged(self, nodes):
-        o = DenseOracle(triangle(Sign.PLUS, Sign.PLUS, Sign.MINUS))
+    @pytest.mark.parametrize("n, nodes", [
+        (3, [0, 1, 0]), (3, [0, 3]), (3, [-1, 2]), (3, []),
+        (70, [*range(70), 5]), (70, [*range(1, 70), 70]), (70, [float(v) for v in range(70)]),
+    ], ids=["repeated", "above-n", "negative", "empty",
+            "repeated-array-read", "above-n-array-read", "float-array-read"])
+    def test_induced_rejects_repeated_or_out_of_range_uncharged(self, n, nodes):
+        g = make_graph(n, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.MINUS)])
+        o = DenseOracle(g)
         with pytest.raises(ValueError):
             o.induced(nodes)
         assert o.query_count == 0
+        assert not g._indexes  # nor was the CSR index built
 
 
 class TestBoundedDegreeOracle:
@@ -208,6 +225,10 @@ class TestBoundedDegreeOracle:
         assert not g._indexes
         first.query_batch([0], [1])
         index = g._indexes["csr"]
+        indptr, nbr, sign = index
+        assert (indptr.dtype, nbr.dtype, sign.dtype) == (np.int64, np.int64, np.int8)
+        assert indptr.tolist() == [0, 1, 3, 4]
+        assert nbr.tolist() == [1, 0, 2, 1, -1] and sign.tolist() == [0, 0, 1, 1, -1]
         second.query_batch([1], [2])
         assert g._indexes["csr"] is index
 
