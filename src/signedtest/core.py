@@ -71,7 +71,8 @@ class SignedGraph:
 
     Neighbor order inside each adjacency list is edge insertion order; the
     bounded-degree oracle exposes exactly this order, so it is part of the
-    graph's identity, not an implementation detail.
+    graph's identity, not an implementation detail. A dense induced read of
+    64 nodes or more is a ``CSRGraph``, which builds its rows when read.
     """
 
     n: int
@@ -175,7 +176,30 @@ class SignedGraph:
 
     @cached_property
     def num_edges(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        csr = self._indexes.get("csr")  # a CSRGraph counts without building rows
+        return (int(csr[0][-1]) if csr else sum(map(len, self.adj))) // 2
+
+
+class CSRGraph(SignedGraph):
+    """A graph held as CSR arrays in csr_rows' form, with no degree bound,
+    equal to the SignedGraph of the same rows, built at the first read of adj."""
+
+    def __init__(self, n: int, csr: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        self.__dict__.update(n=n, degree_bound=None, _indexes={"csr": csr})
+
+    def __eq__(self, other):  # the dataclass eq compares graphs of one class only
+        return SignedGraph(self.n, self.adj) == other
+
+    __hash__ = SignedGraph.__hash__
+
+    @cached_property
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:  # as from_arrays builds rows
+        indptr, nbr, sign = self._indexes["csr"]
+        ids = list(range(self.n))
+        table = np.fromiter(chain(zip(ids, repeat(0)), zip(ids, repeat(1))),
+                            dtype=object, count=2 * self.n)  # entry (w, s) at s*n + w
+        entries = table[nbr[:-1] + self.n * sign[:-1].astype(np.int64)].tolist()
+        return tuple(tuple(entries[a:b]) for a, b in pairwise(indptr.tolist()))
 
 
 def validate(g: SignedGraph) -> str | None:

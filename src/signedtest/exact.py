@@ -8,6 +8,8 @@ verification.
 Balance and clusterability share one BFS forest. A violating edge (u, v)
 closes the witness through ``forest_paths``, which the walk testers use too:
 the cycle runs from the lowest common ancestor down to u, across to v, and up.
+A graph held as CSR arrays, a dense induced read of 64 nodes or more, is
+checked on them without building its tuple rows: the BFS runs level by level.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ def forest_paths(parent, u: int, v: int) -> tuple[list[int], list[int]]:
 
 def _bfs(g: SignedGraph, follow_negative: bool):
     """BFS forest over every edge, or the positive ones only: (parent, label,
-    conflict). parent[v] is None at a root; label[v] = 2*root + parity, the
-    parity flipped by negative edges. conflict is the first followed edge whose
-    labels disagree (never on the positive-only forest), else None."""
+    conflict). parent[v] is None at a root; label[v] = 2*root + parity, flipped
+    by negative edges; conflict, the first followed edge whose labels disagree
+    (never in the positive forest), else None. CSR arrays take _level_bfs."""
+    if "csr" in g._indexes:
+        return _level_bfs(g.n, *g._indexes["csr"], follow_negative)
     parent: list[int | None] = [None] * g.n
     label = [-1] * g.n
     for root in range(g.n):
@@ -91,12 +95,49 @@ def _bfs(g: SignedGraph, follow_negative: bool):
     return parent, label, None
 
 
-def _cycle_witness(g: SignedGraph, parent: list, u: int, v: int, kind: WitnessKind) -> Witness:
+def _level_bfs(n: int, indptr, nbr, sign, follow_negative: bool):
+    """_bfs on CSR arrays: a level of every tree at a time, trees in root order
+    and rows in FIFO order. The conflict is the first in the lowest tree with
+    one; what the FIFO loop would not have reached by then is unlabelled."""
+    if not follow_negative:  # keep the positive entries only
+        kept = np.flatnonzero(sign[:indptr[-1]] == 0)
+        indptr, nbr, sign = np.searchsorted(kept, indptr), nbr[kept], sign[kept]
+    rows, low, comp = np.flatnonzero(deg := np.diff(indptr)), np.arange(n), None
+    while comp is None or (low != comp).any():  # comp ends as each node's lowest reachable node
+        comp, low = low, low.copy()
+        low[rows] = np.minimum(comp[rows], np.minimum.reduceat(comp[nbr[:indptr[-1]]], indptr[rows]))
+        low = low[low]
+    label, parent, stamp = np.where(comp == np.arange(n), 2 * comp, -1), np.full(n, -1), np.full(n, -1)
+    frontier, firsts, done = np.flatnonzero(label >= 0), {}, 0  # the roots, lowest first
+    while frontier.size:
+        src, d = np.repeat(frontier, deg[frontier]), deg[frontier]
+        at = np.arange(len(src)) + np.repeat(indptr[frontier + 1] - np.cumsum(d), d)
+        dst, want = nbr[at], label[src] ^ sign[at]
+        new = np.flatnonzero((have := label[dst]) == -1)
+        fresh, first, back = np.unique(dst[new], return_index=True, return_inverse=True)
+        first = new[first]  # the entry of each new node's first arrival
+        have[new] = want[first][back]
+        bad = np.flatnonzero(have != want)
+        for root, i in zip(*(a.tolist() for a in np.unique(comp[src[bad]], return_index=True))):
+            firsts.setdefault(root, (done + bad[i], int(src[bad[i]]), int(dst[bad[i]])))
+        label[fresh], parent[fresh], stamp[fresh] = want[first], src[first], done + first
+        done, frontier = done + len(at), dst[np.sort(first)]
+    if firsts:
+        root = min(firsts)
+        drop = (comp > root) | ((comp == root) & (stamp > firsts[root][0]))
+        label[drop] = parent[drop] = -1
+    return ([None if p < 0 else p for p in parent.tolist()], label.tolist(),
+            firsts[min(firsts)][1:] if firsts else None)
+
+
+def _cycle_witness(parent: list, label: list, u: int, v: int, kind: WitnessKind) -> Witness:
     """Close the non-tree edge (u, v) through the BFS forest: from the lowest
-    common ancestor down to u, across to v, and back up."""
+    common ancestor down to u, across to v, and back up. Each sign is the parity
+    its ends' labels differ by, flipped on (u, v), so no row is read."""
     up_u, up_v = forest_paths(parent, u, v)
     nodes = up_u[::-1] + up_v
-    signs = [_row_sign(g, a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    signs = [(label[a] ^ label[b]) & 1 for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    signs[len(up_u) - 1] ^= 1
     return Witness(kind, tuple(nodes), tuple(signs))  # type: ignore[arg-type]
 
 
@@ -105,7 +146,7 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
     the first conflicting edge closes an odd-negative cycle through the tree."""
     parent, label, conflict = _bfs(g, follow_negative=True)
     if conflict is not None:
-        w = _cycle_witness(g, parent, *conflict, WitnessKind.ODD_NEGATIVE_CYCLE)
+        w = _cycle_witness(parent, label, *conflict, WitnessKind.ODD_NEGATIVE_CYCLE)
         return BalanceResult(False, None, w)
     return BalanceResult(True, tuple(x & 1 for x in label), None)
 
@@ -135,7 +176,7 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
     bad = min(((u, v) for u in range(g.n) for v, s in g.adj[u]
                if s and u < v and label[u] == label[v]), default=None)
     if bad is not None:
-        w = _cycle_witness(g, parent, *bad, WitnessKind.BAD_CYCLE)
+        w = _cycle_witness(parent, label, *bad, WitnessKind.BAD_CYCLE)
         return ClusterabilityResult(False, None, w)
     return ClusterabilityResult(True, Clustering.from_labels(label), None)
 
@@ -196,6 +237,10 @@ def frustration_index(g: SignedGraph) -> int:
 def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     """Edges a cluster labeling violates: positive across or negative inside,
     each counted once, from the row of its smaller end."""
+    if "csr" in g._indexes:  # on the arrays: every entry, kept from its row's smaller end
+        indptr, nbr, sign = g._indexes["csr"]
+        src, dst, lab = np.repeat(np.arange(g.n), np.diff(indptr)), nbr[:indptr[-1]], np.asarray(labels)
+        return int(((lab[src] != lab[dst]) ^ (sign[:indptr[-1]] == 1))[src < dst].sum())
     bad = 0
     for u, row in enumerate(g.adj):
         for v, s in row:
@@ -285,11 +330,6 @@ def triangle_free_distance(g: SignedGraph, pattern: Sequence[Sign | str] | str) 
 # ---------------------------------------------------------------------------
 
 
-def _row_sign(g: SignedGraph, u: int, v: int) -> int | None:
-    """Sign of edge (u, v) or None, by a scan of u's row (g.sign_of indexes all rows)."""
-    return next((t for x, t in g.adj[u] if x == v), None)
-
-
 def verify_witness(g: SignedGraph, w: Witness) -> str | None:
     """Re-check every invariant of a witness against g. None means valid."""
     k = len(w.nodes)
@@ -302,7 +342,7 @@ def verify_witness(g: SignedGraph, w: Witness) -> str | None:
     for u, v, s in w.edge_pairs():
         if not (0 <= u < g.n and 0 <= v < g.n):
             return f"node out of range on edge ({u},{v})"
-        actual = _row_sign(g, u, v)
+        actual = next((t for x, t in g.adj[u] if x == v), None)  # a row scan: sign_of indexes all rows
         if actual is None:
             return f"missing edge ({u},{v})"
         if actual != s:

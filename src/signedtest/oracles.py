@@ -11,7 +11,7 @@ bound.
 more, answer from the graph's rows as NumPy CSR arrays (``core.csr_rows``),
 built at the first such read and shared by every oracle on the graph; below
 that size, looking each pair up in the per-row sign maps is cheaper than
-gathering whole rows.
+gathering whole rows. Such a read returns a ``core.CSRGraph``.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, pairwise, repeat
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import SignedGraph, Witness, csr_rows
+from .core import CSRGraph, SignedGraph, Witness, csr_rows
 
 
 # An induced read of at least this many nodes gathers the sampled rows from
@@ -64,14 +63,17 @@ class DenseOracle:
         row ascending by label, as from_edges would build it from the pairs in
         order, without its redundant checks. Every error is raised before the
         charge. Reads of _ARRAY_READ_MIN nodes or more gather the rows from
-        the CSR arrays and return the same graph."""
+        the CSR arrays and return the same graph as a CSRGraph."""
         k = len(nodes)
         if k == 0 or len(set(nodes)) != k:
             raise ValueError("induced read needs one or more distinct nodes")
+        ids = np.asarray(nodes)
+        if ids.dtype.kind not in "iu":
+            raise ValueError("induced read needs integer node ids")
         if not (0 <= min(nodes) and max(nodes) < self.n):
             raise ValueError(f"induced read out of range for n={self.n}")
         if k >= _ARRAY_READ_MIN:
-            return self._gather(nodes)
+            return self._gather(ids)
         self.query_count += k * (k - 1) // 2
         adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for i, u in enumerate(nodes):
@@ -83,13 +85,10 @@ class DenseOracle:
                     adj[j].append((i, s))
         return SignedGraph(k, tuple(map(tuple, adj)))
 
-    def _gather(self, nodes) -> SignedGraph:
+    def _gather(self, ids: np.ndarray) -> SignedGraph:
         """The array path of induced: concatenate the sampled rows, keep the
-        entries whose neighbour was sampled, sort them by (row, column) label
-        and build the rows from one shared table of entries."""
-        ids = np.asarray(nodes)
-        if ids.dtype.kind not in "iu":
-            raise ValueError("induced read needs integer node ids")
+        entries whose neighbour was sampled and sort them by (row, column)
+        label, as the CSR arrays (csr_rows' dtypes) of the graph returned."""
         k = len(ids)
         self.query_count += k * (k - 1) // 2
         indptr, nbr, sign = csr_rows(self._adj, self._indexes)
@@ -103,13 +102,10 @@ class DenseOracle:
         kept = np.flatnonzero(col)  # row i keeps kept[cuts[i]:cuts[i + 1]]
         cuts = np.searchsorted(kept, np.concatenate(([0], np.cumsum(hi - lo))))
         col = col[kept].astype(np.int64) - 1
-        sgn = np.concatenate([sign[r] for r in rows])[kept].astype(np.int64)
+        sgn = np.concatenate([sign[r] for r in rows])[kept]
         key = np.repeat(np.arange(0, k * k, k, dtype=np.int64), np.diff(cuts)) + col  # row*k + col
-        labels = list(range(k))  # one int object per label, one tuple per entry, as from_arrays
-        table = np.fromiter(chain(zip(labels, repeat(0)), zip(labels, repeat(1))),
-                            dtype=object, count=2 * k)  # entry (j, s) at s*k + j
-        entries = table[(col + k * sgn)[np.argsort(key, kind="stable")]].tolist()
-        return SignedGraph(k, tuple(tuple(entries[a:b]) for a, b in pairwise(cuts.tolist())))
+        order = np.argsort(key, kind="stable")
+        return CSRGraph(k, (cuts, np.append(col[order], -1), np.append(sgn[order], np.int8(-1))))
 
 
 class BoundedDegreeOracle:

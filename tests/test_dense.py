@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from signedtest import dense_testers as dt
-from signedtest import exact
+from signedtest import exact, oracles
 from signedtest.core import Sign, SignedGraph
 from signedtest.generators import (
+    BALANCED_TWO_SIDE,
     CLUSTERABLE_COMMUNITIES,
     DISJOINT_BAD_TRIANGLES,
     GenSpec,
@@ -324,3 +325,41 @@ class TestFrustrationEstimate:
         g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 40, d=6, k=3))
         monkeypatch.setattr(dt, "_local_search_k_frustration", mock.Mock(side_effect=AssertionError))
         assert dt._induced_k_frustration(g, 20, np.random.default_rng(0)) == 0
+
+
+class TestArrayPathReads:
+    """An induced read of 64 nodes or more holds its graph as CSR arrays; a
+    verdict that needs no witness, and one that lifts a witness, build no
+    tuple rows for it."""
+
+    @staticmethod
+    def _verdict_and_reads(tester, g):
+        reads, induced = [], DenseOracle.induced
+
+        def keep(o, nodes):
+            reads.append(induced(o, nodes))
+            return reads[-1]
+
+        with mock.patch.object(DenseOracle, "induced", keep):
+            v = tester(DenseOracle(g))
+        assert [h.n >= oracles._ARRAY_READ_MIN for h in reads] == [True]
+        return v, reads[0]
+
+    def test_accepting_verdicts_build_no_rows(self):
+        g, _ = generate(GenSpec(BALANCED_TWO_SIDE, 600, seed=1))
+        v, h = self._verdict_and_reads(lambda o: dt.test_balance_dense(o, 0.1, 3), g)
+        assert v.accept and not v.exact_fallback
+        edges = h.num_edges
+        assert "adj" not in vars(h)  # nor did num_edges build them
+        assert edges == sum(map(len, h.adj)) // 2
+        # clusterable, so the folded start violates nothing and the count
+        # table is never built; num_edges is read for the estimate
+        v, h = self._verdict_and_reads(lambda o: dt.test_clusterability_dense(o, 0.7, 3), g)
+        assert v.accept and v.details["estimate"] == 0.0 and not v.exact_fallback
+        assert "adj" not in vars(h)
+
+    def test_a_reject_lifts_a_witness_that_holds_on_the_graph(self):
+        g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 600, seed=1, k=3))
+        v, h = self._verdict_and_reads(lambda o: dt.test_balance_dense(o, 0.1, 3), g)
+        assert not v.accept and exact.verify_witness(g, v.witness) is None
+        assert "adj" not in vars(h)  # the witness signs come from the BFS labels

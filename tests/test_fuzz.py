@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedtest import bounded_testers as bt
-from signedtest import core, oracles
+from signedtest import core, exact, oracles
 from signedtest import dense_testers as dt
 from signedtest.core import (
     GraphFormatError,
@@ -143,6 +143,52 @@ def test_dense_induced_reads_the_same_graph_from_arrays_as_pair_by_pair(case, da
     assert got == by_pair.induced(nodes)  # rows and their order alike
     assert by_arrays.query_count == by_pair.query_count == len(nodes) * (len(nodes) - 1) // 2
     assert all(type(w) is int and type(s) is int for row in got.adj for w, s in row)
+
+@st.composite
+def scattered_components(draw):
+    """(n, edges): up to six components, each a random tree on 2 to 10 nodes
+    plus up to three more edges, signed at random, their nodes scattered over
+    n <= 60 ids; the ids no component takes are isolated. The trees are deep
+    enough for a BFS level to meet its nodes out of id order."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.permutations(range(n)))
+    edges, at = [], 0
+    for size in draw(st.lists(st.integers(2, 10), max_size=6)):
+        part, at = ids[at:at + size], at + size
+        if len(part) < 2:
+            break
+        pairs = {(part[i], part[draw(st.integers(0, i - 1))]) for i in range(1, len(part))}
+        pairs |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(part, 2))),
+                                   max_size=3)))
+        edges += [(u, v, draw(st.sampled_from([0, 1])))
+                  for u, v in sorted({(min(p), max(p)) for p in pairs})]
+    return n, edges
+
+
+@FUZZ
+@given(st.one_of(edge_lists(), scattered_components()), st.data())
+def test_exact_checks_read_the_same_from_csr_arrays_as_from_tuple_rows(case, data):
+    n, edges = case
+    g = SignedGraph.from_edges(n, edges)
+    nodes = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    rows = DenseOracle(g).induced(nodes)  # n <= 60 reads below the cutoff: tuple rows
+    with mock.patch.object(oracles, "_ARRAY_READ_MIN", 1):
+        arrays = DenseOracle(g).induced(nodes)
+    assert "csr" in arrays._indexes and "csr" not in rows._indexes
+    for follow_negative in (True, False):
+        assert exact._bfs(arrays, follow_negative) == exact._bfs(rows, follow_negative)
+    assert is_balanced(arrays) == is_balanced(rows)  # sides, or the witness and its signs
+    assert exact.positive_component_clustering(arrays) == exact.positive_component_clustering(rows)
+    for k in (1, 2, 3, len(nodes)):
+        start = folded_components(arrays, k)
+        assert start == folded_components(rows, k)
+        assert clustering_violations(arrays, start) == clustering_violations(rows, start)
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(nodes), max_size=len(nodes)))
+    assert clustering_violations(arrays, labels) == clustering_violations(rows, labels)
+    assert arrays.num_edges == rows.num_edges
+    assert "adj" not in vars(arrays)  # no check above built the tuple rows
+    assert arrays == rows
+
 
 def _subdivision_is_bipartite(n, edges) -> bool:
     """networkx bipartiteness of the graph with every positive edge subdivided."""

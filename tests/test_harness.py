@@ -188,6 +188,25 @@ class TestRunExperiment:
         rows = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rep.trials]
         assert hashlib.sha256(json.dumps(rows, indent=2).encode()).hexdigest() == digest
 
+    # the same for dense runs whose induced reads of 64 nodes or more are
+    # checked on their CSR arrays; the digests were recorded before the checks
+    # read the arrays, when every read built its tuple rows
+    @pytest.mark.parametrize("prop, eps, spec, rejects, digest", [
+        ("balance", 0.1, GenSpec(CLUSTERABLE_COMMUNITIES, 600, k=3), 8,
+         "fd9affc32ecf5dafd973b7372fff866a077d580fe22f100b1fed242d691beb41"),
+        ("balance", 0.1, GenSpec(BALANCED_TWO_SIDE, 600), 0,
+         "4ce2d4a68be43dfb3768351d5e9125096f25eebb2d429b64a5c29e889d9de660"),
+        ("clusterability", 0.5, GenSpec(CLUSTERABLE_COMMUNITIES, 600, k=3), 0,
+         "b79821661be561a4e88c9d5f25029b06e2083d203309ddb7d95ffca17dd4eb5c"),
+    ], ids=["balance-communities", "balance-two-side", "clusterability-communities"])
+    def test_dense_array_path_trial_rows_are_pinned(self, prop, eps, spec, rejects, digest):
+        rep = run_experiment(ExperimentConfig(property=prop, model="dense", eps=eps,
+                                              instance=spec, trials=8, seed=7))
+        assert rep.aggregates["rejects"] == rejects
+        assert min(r["queries"] for r in rep.trials) >= 64 * 63 // 2  # array-path reads
+        rows = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rep.trials]
+        assert hashlib.sha256(json.dumps(rows, indent=2).encode()).hexdigest() == digest
+
     def test_seed_changes_trials(self):
         spec = GenSpec(DISJOINT_BAD_TRIANGLES, 90)
         a = run_experiment(ExperimentConfig(property="balance", model="dense",

@@ -96,9 +96,9 @@ class TestDenseOracle:
             assert got == expected
 
     @pytest.mark.parametrize("n, nodes", [
-        (3, [0, 1, 0]), (3, [0, 3]), (3, [-1, 2]), (3, []),
+        (3, [0, 1, 0]), (3, [0, 3]), (3, [-1, 2]), (3, []), (3, [0.0, 1.0]),
         (70, [*range(70), 5]), (70, [*range(1, 70), 70]), (70, [float(v) for v in range(70)]),
-    ], ids=["repeated", "above-n", "negative", "empty",
+    ], ids=["repeated", "above-n", "negative", "empty", "float-loop-read",
             "repeated-array-read", "above-n-array-read", "float-array-read"])
     def test_induced_rejects_repeated_or_out_of_range_uncharged(self, n, nodes):
         g = make_graph(n, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.MINUS)])
