@@ -5,6 +5,9 @@ byte-identical edge list. Metadata records which property the instance holds
 or violates and how far it is, flagged ``exact`` (small enough to brute-force
 or additive by construction) or ``construction-backed`` (margin argument).
 
+Each family is declared once, in ``_FAMILIES``: its builder, default degree
+and optional parameters. Each builder writes its metadata with ``_record``.
+
 The random families are permutations: a ring follows one, a matching pairs
 its consecutive free nodes, so each draws its edges as NumPy arrays of
 pairs and builds the graph with one ``SignedGraph.from_arrays`` call. Only
@@ -14,8 +17,10 @@ pair keys.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from itertools import pairwise
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -30,18 +35,6 @@ BALANCED_TWO_SIDE = "balanced-two-side"
 ALL_NEGATIVE_REGULAR = "all-negative-regular"
 DISJOINT_BAD_TRIANGLES = "disjoint-bad-triangles"
 PLANTED_NEGATIVE_MATCHING = "planted-negative-matching"
-
-FAMILIES = (
-    CLUSTERABLE_COMMUNITIES,
-    BALANCED_TWO_SIDE,
-    ALL_NEGATIVE_REGULAR,
-    DISJOINT_BAD_TRIANGLES,
-    PLANTED_NEGATIVE_MATCHING,
-)
-
-# d when a spec leaves it None. The other two families then take their
-# complete form, which has no degree bound.
-_DEFAULT_D = {ALL_NEGATIVE_REGULAR: 3, DISJOINT_BAD_TRIANGLES: 2, PLANTED_NEGATIVE_MATCHING: 8}
 
 
 @dataclass(frozen=True)
@@ -58,6 +51,16 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        for name in ("n", "seed", "d", "k", "planted_fraction"):
+            value, whole = getattr(self, name), name != "planted_fraction"
+            if value is None and name not in ("n", "seed"):
+                continue
+            if name not in ("n", "seed", "d", *_FAMILIES[self.family].reads):
+                raise ValueError(f"{self.family} does not read {name}")
+            kind, what = (Integral, "an integer") if whole else (Real, "a real number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, int(value) if whole else float(value))
         if not 1 <= self.n <= MAX_NODES:
             raise ValueError(f"n must be between 1 and {MAX_NODES:,}")
         d = self.degree
@@ -72,12 +75,7 @@ class GenSpec:
     @property
     def degree(self) -> int | None:
         """d, or the family's default; None for a complete form."""
-        return self.d if self.d is not None else _DEFAULT_D.get(self.family)
-
-
-def _rng_for(spec: GenSpec) -> np.random.Generator:
-    fam_id = FAMILIES.index(spec.family)
-    return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(fam_id,)))
+        return self.d if self.d is not None else _FAMILIES[self.family].d
 
 
 def _keys(pairs, n: int) -> np.ndarray:
@@ -159,28 +157,16 @@ def _build_communities(rng, n, d, k):
     return groups, [*parts, (cross, _MINUS)], degree
 
 
-def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
-    """Build the instance and its metadata record."""
-    rng = _rng_for(spec)
-    meta: dict[str, Any] = {"spec": asdict(spec), "notes": []}
-    if spec.family == DISJOINT_BAD_TRIANGLES:
-        g, extra = _gen_bad_triangles(spec)
-    elif spec.family == ALL_NEGATIVE_REGULAR:
-        g, extra = _gen_all_negative(spec, rng)
-    elif spec.family == BALANCED_TWO_SIDE:
-        g, extra = _gen_balanced_two_side(spec, rng)
-    elif spec.family == CLUSTERABLE_COMMUNITIES:
-        g, extra = _gen_communities(spec, rng)
-    else:
-        g, extra = _gen_planted_matching(spec, rng)
-    meta.update(extra)
-    degs = list(map(len, g.adj))
-    meta["degree"] = {"min": min(degs), "max": max(degs), "bound": g.degree_bound}
-    meta["edges"] = g.num_edges
-    return g, meta
+def _record(balanced, clusterable, distance=None, **extras) -> dict[str, Any]:
+    """A family's metadata, in this key order: the properties it holds (None:
+    not certified), its (property, edits_lower, edits_upper, kind, note)
+    distance unless None, then the family's extras."""
+    keys = ("property", "edits_lower", "edits_upper", "kind", "note")
+    distance = {} if distance is None else {"distance": dict(zip(keys, distance))}
+    return {"properties": {"balanced": balanced, "clusterable": clusterable}, **distance, **extras}
 
 
-def _gen_bad_triangles(spec: GenSpec):
+def _gen_bad_triangles(spec: GenSpec, rng):
     if spec.n < 3:
         raise ValueError("disjoint-bad-triangles needs n >= 3")
     d = spec.degree
@@ -189,18 +175,8 @@ def _gen_bad_triangles(spec: GenSpec):
     t = spec.n // 3
     pairs = (3 * np.arange(t)[:, None, None] + [[0, 1], [1, 2], [0, 2]]).reshape(-1, 2)
     g = _graph(spec.n, [(pairs, np.tile([_PLUS, _PLUS, _MINUS], t))], d)
-    extra = {
-        "properties": {"balanced": t == 0, "clusterable": t == 0},
-        "distance": {
-            "property": "clusterability",
-            "edits_lower": t,
-            "edits_upper": t,
-            "kind": "exact",
-            "note": "additive over vertex-disjoint triangles; balance distance is the same",
-        },
-        "triangles": t,
-    }
-    return g, extra
+    return g, _record(t == 0, t == 0, ("clusterability", t, t, "exact", "additive over "
+                      "vertex-disjoint triangles; balance distance is the same"), triangles=t)
 
 
 def _gen_all_negative(spec: GenSpec, rng):
@@ -215,23 +191,14 @@ def _gen_all_negative(spec: GenSpec, rng):
     m = g.num_edges
     # small draws are often bipartite, so balanced: check before certifying
     balanced = exact.is_balanced(g).balanced if d >= 3 else None
-    extra = {"properties": {"balanced": balanced, "clusterable": True}}
-    if balanced is False:
-        lb = max(1, int(0.05 * m))
-        extra["distance"] = {
-            "property": "balance",
-            "edits_lower": lb,
-            "edits_upper": m,
-            "kind": "construction-backed",
-            "note": "random near-regular graphs keep max-cut below (1-0.05)m whp",
-        }
-    return g, extra
+    far = ("balance", max(1, int(0.05 * m)), m, "construction-backed",
+           "random near-regular graphs keep max-cut below (1-0.05)m whp")
+    return g, _record(balanced, True, far if balanced is False else None)
 
 
 def _gen_balanced_two_side(spec: GenSpec, rng):
     if spec.n < 4 or spec.n % 2:
         raise ValueError("balanced-two-side needs even n >= 4")
-    half = spec.n // 2
     left, right = _group_split(spec.n, 2)
     if spec.d is None:
         g = _graph(spec.n, _complete_groups([left, right]))
@@ -242,20 +209,11 @@ def _gen_balanced_two_side(spec: GenSpec, rng):
         parts = [(_rings_and_matchings(rng, np.arange(side.start, side.stop), 1, spec.d - 3,
                                        spec.d - 1, degree), _PLUS) for side in (left, right)]
         # one negative perfect matching across the sides
-        across = np.stack([np.arange(half), half + rng.permutation(half)], axis=1)
+        across = np.stack([np.arange(len(left)), right.start + rng.permutation(len(right))], axis=1)
         g = _graph(spec.n, [*parts, (across, _MINUS)], spec.d)
-    extra = {
-        "properties": {"balanced": True, "clusterable": True},
-        "distance": {
-            "property": "balance",
-            "edits_lower": 0,
-            "edits_upper": 0,
-            "kind": "exact",
-            "note": "balanced by construction: positive inside sides, negative across",
-        },
-        "sides": [list(left), list(right)],
-    }
-    return g, extra
+    return g, _record(True, True, ("balance", 0, 0, "exact", "balanced by construction: "
+                                   "positive inside sides, negative across"),
+                      sides=[list(left), list(right)])
 
 
 def _gen_communities(spec: GenSpec, rng):
@@ -272,18 +230,9 @@ def _gen_communities(spec: GenSpec, rng):
             raise ValueError("clusterable-communities needs groups of size >= 3")
         groups_out, parts, _ = _build_communities(rng, spec.n, spec.d, k)
         g = _graph(spec.n, parts, spec.d)
-    extra = {
-        "properties": {"balanced": None, "clusterable": True},
-        "distance": {
-            "property": "clusterability",
-            "edits_lower": 0,
-            "edits_upper": 0,
-            "kind": "exact",
-            "note": "positive edges only inside groups, negative only across",
-        },
-        "groups": [len(grp) for grp in groups_out],
-    }
-    return g, extra
+    return g, _record(None, True, ("clusterability", 0, 0, "exact", "positive edges only "
+                                   "inside groups, negative only across"),
+                      groups=[len(grp) for grp in groups_out])
 
 
 def _gen_planted_matching(spec: GenSpec, rng):
@@ -321,22 +270,35 @@ def _gen_planted_matching(spec: GenSpec, rng):
         pairs.append((u, v))
     planted = len(pairs)
     if planted < target:
-        raise ValueError(
-            f"could not place {target} planted negative edges (placed {planted}); "
-            "lower planted_fraction or raise the group size"
-        )
+        raise ValueError(f"could not place {target} planted negative edges (placed {planted}); "
+                         "lower planted_fraction or raise the group size")
     g = _graph(n, [*parts, (np.array(pairs, dtype=np.int64).reshape(-1, 2), _MINUS)], d)
-    extra = {
-        "properties": {"balanced": False, "clusterable": False},
-        "distance": {
-            "property": "clusterability",
-            "edits_lower": 1,
-            "edits_upper": planted,
-            "kind": "construction-backed",
-            "note": "each planted negative edge closes a cycle through its group's "
-            "connected positive skeleton; deleting all planted edges restores "
-            "clusterability",
-        },
-        "planted": planted,
-    }
-    return g, extra
+    return g, _record(False, False, (
+        "clusterability", 1, planted, "construction-backed", "each planted negative edge "
+        "closes a cycle through its group's connected positive skeleton; deleting all "
+        "planted edges restores clusterability"), planted=planted)
+
+
+# build(spec, rng) -> (graph, record); d when a spec leaves it None (None: the
+# complete form, unbounded); reads: the optional parameters besides d and seed
+_Family = namedtuple("_Family", "build d reads", defaults=((),))
+# A family's position is its RNG spawn key in generate: add new ones at the end.
+_FAMILIES = {
+    CLUSTERABLE_COMMUNITIES: _Family(_gen_communities, None, ("k",)),
+    BALANCED_TWO_SIDE: _Family(_gen_balanced_two_side, None),
+    ALL_NEGATIVE_REGULAR: _Family(_gen_all_negative, 3),
+    DISJOINT_BAD_TRIANGLES: _Family(_gen_bad_triangles, 2),
+    PLANTED_NEGATIVE_MATCHING: _Family(_gen_planted_matching, 8, ("k", "planted_fraction")),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
+    """Build the instance and its metadata record."""
+    spawn_key = (FAMILIES.index(spec.family),)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=spawn_key))
+    g, record = _FAMILIES[spec.family].build(spec, rng)
+    degs = list(map(len, g.adj))
+    return g, {"spec": asdict(spec), "notes": [], **record,
+               "degree": {"min": min(degs), "max": max(degs), "bound": g.degree_bound},
+               "edges": g.num_edges}

@@ -38,7 +38,7 @@ _ARRAY_READ_MIN = 64
 class DenseOracle:
     """Adjacency-matrix access: query(u, v) -> sign (0 or 1) or None (absent).
 
-    Diagonal queries are a caller bug and raise; they are never charged.
+    Diagonal queries and non-integer ids are caller bugs: they raise uncharged.
     """
 
     def __init__(self, graph: SignedGraph):
@@ -50,6 +50,8 @@ class DenseOracle:
             self._indexes = graph._indexes  # the CSR index goes there at the first array read
 
     def query(self, u: int, v: int) -> int | None:
+        if type(u) is not int or type(v) is not int:
+            u, v = _integers(u, v)
         if u == v:
             raise ValueError(f"diagonal query ({u},{u})")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -110,8 +112,8 @@ class DenseOracle:
 
 class BoundedDegreeOracle:
     """Adjacency-list access: query(v, i) -> (neighbor, sign) or None when
-    node v has fewer than i neighbors. i is 1-based and must stay within the
-    degree bound d; the out-of-range answer still costs one query.
+    node v has fewer than i neighbors; i is 1-based, at most the degree bound
+    d. That empty answer costs one query; a non-integer v or i raises uncharged.
 
     Neighbor order is the graph's edge insertion order and is stable across
     calls.
@@ -127,6 +129,8 @@ class BoundedDegreeOracle:
         self._indexes = graph._indexes  # the CSR index goes there at the first query_batch
 
     def query(self, v: int, i: int) -> tuple[int, int] | None:
+        if type(v) is not int or type(i) is not int:
+            v, i = _integers(v, i)
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} out of range for n={self.n}")
         if not 1 <= i <= self.d:
@@ -150,20 +154,29 @@ class BoundedDegreeOracle:
     def query_batch(self, nodes, slots) -> tuple[np.ndarray, np.ndarray]:
         """query(nodes[k], slots[k]) for every k at once, as two arrays
         (neighbors, signs), both -1 where the slot is empty. Every entry is
-        range-checked before any is charged; then each costs one query."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int64)
+        checked before any is charged; then each costs one query."""
+        nodes, slots = np.asarray(nodes), np.asarray(slots)
         if nodes.shape != slots.shape:
             raise ValueError("query_batch needs one slot per node")
+        if nodes.size and (nodes.dtype.kind not in "iu" or slots.dtype.kind not in "iu"):
+            raise ValueError("query_batch needs integer nodes and slots")
         if nodes.size and not (0 <= nodes.min() and nodes.max() < self.n):
             raise ValueError(f"node out of range for n={self.n}")
         if slots.size and not (1 <= slots.min() and slots.max() <= self.d):
             raise ValueError(f"neighbor index outside 1..{self.d}")
+        nodes, slots = nodes.astype(np.int64, copy=False), slots.astype(np.int64, copy=False)
         self.query_count += nodes.size
         indptr, nbr, sign = csr_rows(self._adj, self._indexes)
         pos = indptr[nodes] + slots - 1
         pos[pos >= indptr[nodes + 1]] = -1  # an empty slot reads the -1 past the last row
         return nbr[pos], sign[pos]
+
+
+def _integers(*args) -> list[int]:
+    """A point read's arguments as ints: NumPy integers pass, floats and bools raise."""
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in args):
+        return [int(x) for x in args]
+    raise ValueError(f"oracle reads need integer arguments, got {args}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import astuple
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from signedtest import core, exact
@@ -183,6 +185,12 @@ class TestGoldenInstances:
         assert _sha(repr(g.adj)) == adj_sha
         assert _sha(json.dumps(meta, sort_keys=True)) == meta_sha
 
+    def test_metadata_key_order_is_pinned(self):
+        # signedtest gen writes json.dumps(meta, indent=2), in the record's
+        # key order, which the sorted-key digests above do not see
+        text = "".join(json.dumps(generate(spec)[1], indent=2) for spec, _, _ in GOLDEN)
+        assert _sha(text) == "66b4c00b566ad13f93aee890bf7db8360e0fc2e2f608f67fd1d6bb5ef537a935"
+
     @pytest.mark.parametrize("spec", [s for s, _, _ in GOLDEN if s.seed == 0],
                              ids=lambda s: f"{s.family}-{s.n}-d{s.d}")
     def test_rows_share_one_int_object_per_node(self, spec):
@@ -331,6 +339,25 @@ class TestParameterValidation:
             (dict(family=DISJOINT_BAD_TRIANGLES, n=0), "n must be between 1 and 4,000,000"),
             (dict(family=DISJOINT_BAD_TRIANGLES, n=4_000_001), "n must be between 1 and 4,000,000"),
             (dict(family=CLUSTERABLE_COMMUNITIES, n=4001, k=2), "more than 8,000,000 edges"),
+            # a parameter the family does not read is refused, not ignored
+            (dict(family=ALL_NEGATIVE_REGULAR, n=10, k=3), "all-negative-regular does not read k"),
+            (dict(family=ALL_NEGATIVE_REGULAR, n=10, planted_fraction=0.01),
+             "all-negative-regular does not read planted_fraction"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=30, k=9), "disjoint-bad-triangles does not read k"),
+            (dict(family=BALANCED_TWO_SIDE, n=10, k=2), "balanced-two-side does not read k"),
+            (dict(family=CLUSTERABLE_COMMUNITIES, n=30, k=2, planted_fraction=0.01),
+             "clusterable-communities does not read planted_fraction"),
+            # numbers of the wrong kind
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=9, d=2.5), r"d must be an integer, got 2\.5"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=9, seed=True), "seed must be an integer, got True"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=9.0), r"n must be an integer, got 9\.0"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n="9"), "n must be an integer, got '9'"),
+            (dict(family=DISJOINT_BAD_TRIANGLES, n=None), "n must be an integer, got None"),
+            (dict(family=CLUSTERABLE_COMMUNITIES, n=30, k=2.0), r"k must be an integer, got 2\.0"),
+            (dict(family=PLANTED_NEGATIVE_MATCHING, n=48, planted_fraction="0.03"),
+             "planted_fraction must be a real number, got '0.03'"),
+            (dict(family=PLANTED_NEGATIVE_MATCHING, n=48, planted_fraction=True),
+             "planted_fraction must be a real number, got True"),
         ],
     )
     def test_bad_parameters_raise(self, spec, msg):
@@ -348,6 +375,16 @@ class TestParameterValidation:
         # constructed only: generating one where the check is missing takes gigabytes
         with pytest.raises(ValueError, match=f"{message} allows more than 8,000,000 edges"):
             GenSpec(**spec)
+
+    def test_numpy_numbers_pass_as_python_numbers(self):
+        spec = GenSpec(PLANTED_NEGATIVE_MATCHING, np.int64(48), seed=np.uint32(3), d=np.int16(8),
+                       k=np.int8(2), planted_fraction=np.float32(0.03125))
+        assert [type(x) for x in astuple(spec)[1:]] == [int, int, int, int, float]
+        plain = GenSpec(PLANTED_NEGATIVE_MATCHING, 48, seed=3, d=8, k=2, planted_fraction=0.03125)
+        assert spec == plain
+        assert json.dumps(generate(spec)[1]) == json.dumps(generate(plain)[1])
+        # a seed is accepted by every family, also one that draws nothing
+        assert GenSpec(DISJOINT_BAD_TRIANGLES, 9, seed=np.int64(4)).seed == 4
 
     def test_sizes_at_the_caps_are_accepted(self):
         # specs only, never generated: building one would take gigabytes

@@ -662,3 +662,18 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "all-negative-regular", "--n", "10", "--k", "3",
+          "--planted-fraction", "0.01"], "all-negative-regular does not read k"),
+        (["test", "--family", "disjoint-bad-triangles", "--n", "30", "--k", "9",
+          "--model", "dense", "--property", "balance", "--eps", "0.5", "--trials", "1"],
+         "disjoint-bad-triangles does not read k"),
+    ], ids=["gen", "test"])
+    def test_parameter_the_family_does_not_read_is_a_one_line_error(self, tmp_path, capsys,
+                                                                     argv, message):
+        out = tmp_path / "out.sgl"
+        rc = cli.main([*argv, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

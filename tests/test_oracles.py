@@ -45,7 +45,8 @@ class TestDenseOracle:
             o.query(1, 1)
         assert o.query_count == 0
 
-    @pytest.mark.parametrize("u,v", [(-1, 0), (0, 3), (3, 0), (0, -2)])
+    @pytest.mark.parametrize("u,v", [(-1, 0), (0, 3), (3, 0), (0, -2),
+                                     (0.0, 1), (0, 1.0), (1.5, 0), (True, 0)])
     def test_out_of_range_rejected_and_uncharged(self, u, v):
         o = DenseOracle(triangle(Sign.PLUS, Sign.PLUS, Sign.MINUS))
         with pytest.raises(ValueError):
@@ -138,6 +139,9 @@ class TestBoundedDegreeOracle:
             o.query(0, 0)
         with pytest.raises(ValueError):
             o.query(3, 1)
+        for v, i in ((1.0, 1), (0, 1.0), (0, True)):  # ids that are not integers
+            with pytest.raises(ValueError, match="integer"):
+                o.query(v, i)
         assert o.query_count == 0
 
     def test_fuzz_against_adjacency(self):
@@ -204,7 +208,7 @@ class TestBoundedDegreeOracle:
 
     @pytest.mark.parametrize("nodes, slots", [
         ([0, 3], [1, 1]), ([-1, 0], [1, 1]), ([0, 1], [1, 0]), ([2, 0], [1, 3]),
-        ([0, 1], [1]),
+        ([0, 1], [1]), ([1.7], [1]), ([1], [1.9]), ([True], [1]),
     ])
     def test_query_batch_rejects_any_bad_entry_uncharged(self, nodes, slots):
         o = BoundedDegreeOracle(make_graph(3, [(0, 1, Sign.PLUS)], d=2))
