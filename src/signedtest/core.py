@@ -3,11 +3,11 @@
 A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
 immutable ``SignedGraph`` defined here. ``SignedGraph.from_arrays`` builds one
-from (u, v, sign) integer arrays with vectorized checks and one pass over
-the rows; the generators and the ``.sgl`` loader use it. The loader checks a
-file's header before it reads the body, then reads a body in the plain form
-``save_edge_list`` writes in one vectorized pass, and any other body line by
-line, naming the line at fault.
+from (u, v, sign) integer arrays with vectorized checks and keeps the CSR
+arrays it sorts them into; the generators and the ``.sgl`` loader use it. The
+loader checks a file's header before it reads the body, then reads a body in
+the plain form ``save_edge_list`` writes in one vectorized pass, and any other
+body line by line, naming the line at fault.
 ``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
 loop that is about ten times cheaper on a graph of a few nodes; tests and
 hand-written lists use it, and ``from_arrays`` calls it only to word a
@@ -53,8 +53,9 @@ class GraphFormatError(ValueError):
     """Raised for malformed edge-list input or invalid graph construction."""
 
 
-# The largest instance built or loaded: a build peaks at about 250 bytes of
-# RSS a node plus 310 an edge (CPython 3.11, 64-bit Linux), under 4 GB at both.
+# The largest instance built or loaded: loading an .sgl file of 10^6 edges
+# peaks at about 260 bytes of RSS a node plus 140 an edge (VmHWM above the
+# process start; CPython 3.11, NumPy 2.4, 64-bit Linux), under 2.5 GB at both.
 MAX_NODES, MAX_EDGES = 4_000_000, 8_000_000
 
 
@@ -78,10 +79,11 @@ class SignedGraph:
     n: int
     adj: tuple[tuple[tuple[int, int], ...], ...]
     degree_bound: int | None = None
-    # Indexes built at their first use and shared by every oracle on the
-    # graph (see csr_rows). An oracle keeps this dict instead of the graph: an
-    # empty dict is not GC-tracked, so a graph that only oracles reach is
-    # freed and adds no object for each full collection to scan.
+    # Indexes shared by every oracle on the graph (see csr_rows), built at the
+    # first use or by from_arrays. An oracle keeps this dict instead of the
+    # graph: a dict of arrays is not GC-tracked after a collection, so a graph
+    # that only oracles reach is freed and adds no object for each full
+    # collection to scan.
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -128,19 +130,21 @@ class SignedGraph:
 
         Every check of ``from_edges`` runs vectorized; on any failure the
         edges go through ``from_edges``, which raises its message for the
-        first offending edge. Rows keep insertion order. Each node's id is one
-        int object, and each (neighbour, sign) entry one tuple, shared by
-        every row that holds it.
+        first offending edge. The entries are sorted into CSR arrays, rows in
+        insertion order, which the graph keeps in ``_indexes["csr"]``; its
+        rows are built from them as a ``CSRGraph``'s are, once the sort's
+        temporaries are freed.
         """
         u, v, sign = arrays = [np.asarray(a) for a in (u, v, sign)]
         if any(a.ndim != 1 or a.dtype.kind not in "iu" or len(a) != len(u) for a in arrays):
             raise GraphFormatError("from_arrays needs three 1-d integer arrays of one length")
-        ends = np.stack([u, v], axis=1).astype(np.int64)
+        ends = np.stack([u, v], axis=1).astype(np.int64, copy=False)
         lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
         key = np.sort(lo * n + hi)
         ok = (n >= 1 and (degree_bound is None or degree_bound >= 1)
               and lo.min(initial=0) >= 0 and hi.max(initial=0) < n and (lo < hi).all()
               and ((sign == 0) | (sign == 1)).all() and (key[1:] > key[:-1]).all())
+        del lo, hi, key  # each temporary is freed once used, which lowers the peak
         if ok:
             deg = np.bincount(ends.ravel(), minlength=n)
             ok = degree_bound is None or deg.max() <= degree_bound
@@ -152,13 +156,16 @@ class SignedGraph:
         # (n * 2m, like n * n above, fits int64 for any graph held in memory)
         m2 = 2 * len(u)
         order = np.sort(ends.ravel() * m2 + np.arange(m2)) % m2
-        ids = list(range(n))
-        table = np.fromiter(chain(zip(ids, repeat(0)), zip(ids, repeat(1))),
-                            dtype=object, count=2 * n)  # entry (w, s) at s*n + w
-        code = ends[:, ::-1] + n * sign.astype(np.int64)[:, None]
-        entries = table[code.ravel()[order]].tolist()
-        cuts = [0, *np.cumsum(deg).tolist()]
-        return cls(n, tuple(tuple(entries[a:b]) for a, b in pairwise(cuts)), degree_bound)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        nbr, sgn = np.full(m2 + 1, -1, dtype=np.int64), np.full(m2 + 1, -1, dtype=np.int8)
+        # entry 2i + j's neighbour is entry 2i + 1 - j's end; every index is in
+        # range, and mode "clip" writes into out where "raise" buffers a copy
+        np.take(ends.ravel(), order ^ 1, out=nbr[:-1], mode="clip")
+        np.take(sign.astype(np.int8, copy=False), order >> 1, out=sgn[:-1], mode="clip")
+        del ends, order
+        g = cls(n, _csr_adj(n, indptr, nbr, sgn), degree_bound)
+        g._indexes["csr"] = (indptr, nbr, sgn)
+        return g
 
     @cached_property
     def _sign_map(self) -> tuple[dict[int, int], ...]:  # [u][v] -> sign of (u, v)
@@ -193,13 +200,19 @@ class CSRGraph(SignedGraph):
     __hash__ = SignedGraph.__hash__
 
     @cached_property
-    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:  # as from_arrays builds rows
-        indptr, nbr, sign = self._indexes["csr"]
-        ids = list(range(self.n))
-        table = np.fromiter(chain(zip(ids, repeat(0)), zip(ids, repeat(1))),
-                            dtype=object, count=2 * self.n)  # entry (w, s) at s*n + w
-        entries = table[nbr[:-1] + self.n * sign[:-1].astype(np.int64)].tolist()
-        return tuple(tuple(entries[a:b]) for a, b in pairwise(indptr.tolist()))
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _csr_adj(self.n, *self._indexes["csr"])
+
+
+def _csr_adj(n: int, indptr, nbr, sign) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of CSR arrays in csr_rows' form. Each node's id is one int
+    object, and each (neighbour, sign) entry one tuple, shared by every row
+    that holds it."""
+    ids = list(range(n))
+    table = np.fromiter(chain(zip(ids, repeat(0)), zip(ids, repeat(1))),
+                        dtype=object, count=2 * n)  # entry (w, s) at s*n + w
+    entries = table[nbr[:-1] + n * sign[:-1].astype(np.int64)].tolist()
+    return tuple(tuple(entries[a:b]) for a, b in pairwise(indptr.tolist()))
 
 
 def validate(g: SignedGraph) -> str | None:
@@ -363,9 +376,9 @@ def csr_rows(adj: tuple[tuple[tuple[int, int], ...], ...],
              indexes: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A graph's rows ``adj`` as CSR arrays (indptr and nbr as int64, sign as
     int8), each row in insertion order; nbr and sign end with one -1 past the
-    last row, the answer read for an empty slot. Built at the first call, each
-    array filled in place, and kept in ``indexes``, the same graph's
-    ``_indexes``."""
+    last row, the answer read for an empty slot. Kept in ``indexes``, the same
+    graph's ``_indexes``, where from_arrays and a dense array read put them at
+    the build; for a graph from edge tuples they are built at the first call."""
     csr = indexes.get("csr")
     if csr is None:
         n = len(adj)

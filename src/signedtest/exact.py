@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Clustering, Sign, SignedGraph, Witness, WitnessKind
+from .core import Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind
 
 FRUSTRATION_MAX_NODES = 24
 K_FRUSTRATION_MAX_NODES = 12
@@ -70,8 +70,8 @@ def _bfs(g: SignedGraph, follow_negative: bool):
     """BFS forest over every edge, or the positive ones only: (parent, label,
     conflict). parent[v] is None at a root; label[v] = 2*root + parity, flipped
     by negative edges; conflict, the first followed edge whose labels disagree
-    (never in the positive forest), else None. CSR arrays take _level_bfs."""
-    if "csr" in g._indexes:
+    (never in the positive forest), else None. A CSRGraph takes _level_bfs."""
+    if isinstance(g, CSRGraph):
         return _level_bfs(g.n, *g._indexes["csr"], follow_negative)
     parent: list[int | None] = [None] * g.n
     label = [-1] * g.n
@@ -237,7 +237,7 @@ def frustration_index(g: SignedGraph) -> int:
 def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     """Edges a cluster labeling violates: positive across or negative inside,
     each counted once, from the row of its smaller end."""
-    if "csr" in g._indexes:  # on the arrays: every entry, kept from its row's smaller end
+    if isinstance(g, CSRGraph):  # every entry on the arrays, kept from its smaller end
         indptr, nbr, sign = g._indexes["csr"]
         src, dst, lab = np.repeat(np.arange(g.n), np.diff(indptr)), nbr[:indptr[-1]], np.asarray(labels)
         return int(((lab[src] != lab[dst]) ^ (sign[:indptr[-1]] == 1))[src < dst].sum())

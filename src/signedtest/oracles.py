@@ -9,9 +9,10 @@ bound.
 
 ``query_batch``, and ``induced`` on a sample of ``_ARRAY_READ_MIN`` nodes or
 more, answer from the graph's rows as NumPy CSR arrays (``core.csr_rows``),
-built at the first such read and shared by every oracle on the graph; below
-that size, looking each pair up in the per-row sign maps is cheaper than
-gathering whole rows. Such a read returns a ``core.CSRGraph``.
+which a generated or loaded graph holds from its build and any other gets at
+its first such read, shared by every oracle on the graph; below that size,
+looking each pair up in the per-row sign maps is cheaper than gathering whole
+rows. Such a read returns a ``core.CSRGraph``.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -47,7 +48,7 @@ class DenseOracle:
         self._signs = graph._sign_map  # shared immutable lookup
         if graph.n >= _ARRAY_READ_MIN:  # only such a graph has reads that take the array path
             self._adj = graph.adj
-            self._indexes = graph._indexes  # the CSR index goes there at the first array read
+            self._indexes = graph._indexes  # holds the CSR index or gets it at an array read
 
     def query(self, u: int, v: int) -> int | None:
         if type(u) is not int or type(v) is not int:
@@ -69,9 +70,7 @@ class DenseOracle:
         k = len(nodes)
         if k == 0 or len(set(nodes)) != k:
             raise ValueError("induced read needs one or more distinct nodes")
-        ids = np.asarray(nodes)
-        if ids.dtype.kind not in "iu":
-            raise ValueError("induced read needs integer node ids")
+        ids = _id_array(nodes, "induced read needs integer node ids")
         if not (0 <= min(nodes) and max(nodes) < self.n):
             raise ValueError(f"induced read out of range for n={self.n}")
         if k >= _ARRAY_READ_MIN:
@@ -126,7 +125,7 @@ class BoundedDegreeOracle:
         self.d = graph.degree_bound
         self.query_count = 0
         self._adj = graph.adj
-        self._indexes = graph._indexes  # the CSR index goes there at the first query_batch
+        self._indexes = graph._indexes  # holds the CSR index or gets it at a query_batch
 
     def query(self, v: int, i: int) -> tuple[int, int] | None:
         if type(v) is not int or type(i) is not int:
@@ -145,6 +144,8 @@ class BoundedDegreeOracle:
         """Slots 1..d of v up to the first empty one, as the graph's own row
         of (neighbor, sign) pairs, charged at once as reading them one by one
         would be: min(deg(v) + 1, d) queries, the empty slot included."""
+        if type(v) is not int:
+            v, = _integers(v)
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} out of range for n={self.n}")
         row = self._adj[v]
@@ -155,11 +156,10 @@ class BoundedDegreeOracle:
         """query(nodes[k], slots[k]) for every k at once, as two arrays
         (neighbors, signs), both -1 where the slot is empty. Every entry is
         checked before any is charged; then each costs one query."""
-        nodes, slots = np.asarray(nodes), np.asarray(slots)
+        nodes, slots = (_id_array(a, "query_batch needs integer nodes and slots")
+                        for a in (nodes, slots))
         if nodes.shape != slots.shape:
             raise ValueError("query_batch needs one slot per node")
-        if nodes.size and (nodes.dtype.kind not in "iu" or slots.dtype.kind not in "iu"):
-            raise ValueError("query_batch needs integer nodes and slots")
         if nodes.size and not (0 <= nodes.min() and nodes.max() < self.n):
             raise ValueError(f"node out of range for n={self.n}")
         if slots.size and not (1 <= slots.min() and slots.max() <= self.d):
@@ -177,6 +177,17 @@ def _integers(*args) -> list[int]:
     if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in args):
         return [int(x) for x in args]
     raise ValueError(f"oracle reads need integer arguments, got {args}")
+
+
+def _id_array(ids, message: str) -> np.ndarray:
+    """ids as an array, refused with message unless every entry is an integer:
+    an array by its dtype alone, any other sequence also entry by entry, since
+    np.asarray reads a bool among ints as 0 or 1."""
+    array = np.asarray(ids)
+    if array.size and (array.dtype.kind not in "iu" or not isinstance(ids, np.ndarray)
+                       and not {bool, np.bool_}.isdisjoint(map(type, ids))):
+        raise ValueError(message)
+    return array
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from signedtest import bounded_testers as bt
 from signedtest import exact
-from signedtest.core import Clustering, Sign, SignedGraph, midpoint, save_edge_list
+from signedtest.core import Clustering, Sign, SignedGraph, csr_rows, midpoint, save_edge_list
 from signedtest.dense_testers import LOCAL_SEARCH_MOVE_FACTOR, LOCAL_SEARCH_RESTARTS
 from signedtest.exact import forest_paths
 from signedtest.oracles import _chunked_draws, _chunked_integers
@@ -23,6 +23,14 @@ _PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(1, 6)}
 
 def make_graph(n, edges, d=None):
     return SignedGraph.from_edges(n, edges, degree_bound=d)
+
+
+def assert_csr_of_rows(csr, adj) -> None:
+    """csr equals, array by array and dtype by dtype, the CSR arrays that
+    csr_rows builds from the rows adj."""
+    want = csr_rows(adj, {})
+    assert [a.dtype for a in csr] == [b.dtype for b in want]
+    assert all(np.array_equal(a, b) for a, b in zip(csr, want))
 
 
 def sgl_text(g):

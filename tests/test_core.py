@@ -30,6 +30,7 @@ from signedtest.generators import (
     BALANCED_TWO_SIDE,
     CLUSTERABLE_COMMUNITIES,
     DISJOINT_BAD_TRIANGLES,
+    FAMILIES,
     PLANTED_NEGATIVE_MATCHING,
     GenSpec,
     generate,
@@ -38,6 +39,7 @@ from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
 from conftest import (
     all_signed_graphs,
+    assert_csr_of_rows,
     make_graph,
     random_signed_graph,
     sgl_text,
@@ -400,6 +402,36 @@ class TestAdjacencyNotTracked:
         large, _ = generate(GenSpec(BALANCED_TWO_SIDE, 100, seed=1))
         nodes = np.random.default_rng(1).permutation(100)[:oracles._ARRAY_READ_MIN + 6].tolist()
         _assert_adjacency_untracked(DenseOracle(large).induced(nodes))  # the array path
+
+
+class TestArrayBuildKeepsItsCSR:
+    """A graph from from_arrays (every generated or loaded graph) holds the
+    CSR arrays its build sorts into, and no oracle read rebuilds them."""
+
+    @staticmethod
+    def _assert_kept_through_reads(g: SignedGraph) -> None:
+        csr = g._indexes["csr"]
+        assert_csr_of_rows(csr, g.adj)
+        if g.degree_bound is not None:
+            BoundedDegreeOracle(g).query_batch([0, g.n - 1], [1, 1])
+        assert g._indexes["csr"] is csr
+        read = DenseOracle(g).induced(range(oracles._ARRAY_READ_MIN))  # the array path
+        assert g._indexes["csr"] is csr
+        assert read == DenseOracle(SignedGraph(g.n, g.adj)).induced(range(oracles._ARRAY_READ_MIN))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [None, 4])
+    def test_generated(self, family, d):
+        g, _ = generate(GenSpec(family, 120, seed=4, d=d))
+        self._assert_kept_through_reads(g)
+
+    @pytest.mark.parametrize("comment", ["", "# a comment sends the body to the line reader\n"])
+    def test_loaded_from_sgl(self, comment):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 90, seed=5))
+        header, body = sgl_text(g).split("\n", 1)
+        loaded = load_edge_list(io.StringIO(f"{header}\n{comment}{body}"), degree_bound=8)
+        assert list(loaded.edges()) == list(g.edges())
+        self._assert_kept_through_reads(loaded)
 
 
 class TestFrustrationMatchesSubdividedBipartiteDistance:

@@ -8,10 +8,12 @@ import itertools
 import numpy as np
 import pytest
 
-from signedtest.core import Clustering, Sign, Witness, WitnessKind
+from signedtest import exact
+from signedtest.core import Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind
 from signedtest.generators import PLANTED_NEGATIVE_MATCHING, GenSpec, generate
 from signedtest.exact import (
     SizeCapError,
+    clustering_violations,
     forest_paths,
     frustration_index,
     has_signed_triangle,
@@ -24,6 +26,7 @@ from signedtest.exact import (
     verify_witness,
     weak_frustration_index,
 )
+from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
 from conftest import (
     all_signed_graphs,
@@ -416,3 +419,39 @@ class TestVerifyWitness:
     def test_out_of_range_node_rejected(self):
         w = Witness(WitnessKind.BAD_CYCLE, (0, 1, 7), (Sign.PLUS, Sign.PLUS, Sign.MINUS))
         assert "out of range" in verify_witness(triangle("+", "+", "-"), w)
+
+
+class _ArrayPath(Exception):
+    """Raised by a patched _level_bfs: the check took the array path."""
+
+
+def _level_bfs_ran(*args):
+    raise _ArrayPath
+
+
+class TestArrayPathIsChosenByClass:
+    """The BFS reads CSR arrays exactly on a CSRGraph. A plain graph keeps the
+    FIFO loop, though it holds arrays from its build or from an oracle's
+    batch read, and every check on it answers as on the same rows alone."""
+
+    def test_plain_graphs_holding_arrays_take_the_loop(self, monkeypatch):
+        generated, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 200, seed=3))
+        from_edges = SignedGraph.from_edges(200, generated.edges(), generated.degree_bound)
+        BoundedDegreeOracle(from_edges).query_batch([0], [1])
+        monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
+        labels = [v % 3 for v in range(200)]
+        for g in (generated, from_edges):
+            assert "csr" in g._indexes
+            bare = SignedGraph(g.n, g.adj)  # the same rows, holding no arrays
+            assert is_balanced(g) == is_balanced(bare)
+            assert positive_component_clustering(g) == positive_component_clustering(bare)
+            assert clustering_violations(g, labels) == clustering_violations(bare, labels)
+
+    def test_a_csr_graph_takes_the_array_path(self, monkeypatch):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 200, seed=3))
+        read = DenseOracle(g).induced(range(100))
+        assert isinstance(read, CSRGraph)
+        monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
+        for check in (is_balanced, positive_component_clustering):
+            with pytest.raises(_ArrayPath):
+                check(read)

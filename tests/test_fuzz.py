@@ -34,6 +34,7 @@ from signedtest.exact import clustering_violations, folded_components, is_balanc
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle
 
 from conftest import (
+    assert_csr_of_rows,
     local_search_scoring_each_candidate_from_its_row,
     parity_search_walking_one_walk_at_a_time,
     sgl_text,
@@ -383,6 +384,16 @@ def test_from_arrays_builds_or_rejects_as_from_edges_does(case):
         return
     got = SignedGraph.from_arrays(n, *cols, bound)
     assert got == want and repr(got.adj) == repr(want.adj)
+
+
+@FUZZ
+@given(edge_lists(), st.sampled_from([np.int64, np.int32, np.uint16]))
+def test_from_arrays_keeps_the_csr_arrays_of_the_rows_it_builds(case, dtype):
+    n, edges = case
+    cols = [np.array([e[i] for e in edges], dtype=dtype) for i in range(2)]
+    g = SignedGraph.from_arrays(n, *cols, np.array([_stored(e[2]) for e in edges], dtype=dtype))
+    assert g == SignedGraph.from_edges(n, edges)
+    assert_csr_of_rows(g._indexes["csr"], g.adj)
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))

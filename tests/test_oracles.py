@@ -98,9 +98,12 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("n, nodes", [
         (3, [0, 1, 0]), (3, [0, 3]), (3, [-1, 2]), (3, []), (3, [0.0, 1.0]),
+        (3, [0, True]), (3, [0, np.True_]),
         (70, [*range(70), 5]), (70, [*range(1, 70), 70]), (70, [float(v) for v in range(70)]),
+        (70, [0, *range(2, 70), True]),
     ], ids=["repeated", "above-n", "negative", "empty", "float-loop-read",
-            "repeated-array-read", "above-n-array-read", "float-array-read"])
+            "bool-loop-read", "numpy-bool-loop-read",
+            "repeated-array-read", "above-n-array-read", "float-array-read", "bool-array-read"])
     def test_induced_rejects_repeated_or_out_of_range_uncharged(self, n, nodes):
         g = make_graph(n, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.MINUS)])
         o = DenseOracle(g)
@@ -171,11 +174,16 @@ class TestBoundedDegreeOracle:
             assert o.query_count - before == cost
 
     def test_neighbors_out_of_range_rejected_and_uncharged(self):
-        o = BoundedDegreeOracle(make_graph(3, [(0, 1, Sign.PLUS)], d=2))
+        g = make_graph(3, [(0, 1, Sign.PLUS)], d=2)
+        o = BoundedDegreeOracle(g)
         for v in (-1, 3):
             with pytest.raises(ValueError):
                 o.neighbors(v)
+        for v in (True, 1.0, np.float64(1), np.bool_(True)):  # ids that are not integers
+            with pytest.raises(ValueError, match="integer"):
+                o.neighbors(v)
         assert o.query_count == 0
+        assert o.neighbors(np.int64(1)) is g.adj[1] and o.query_count == 2
 
 
     @pytest.mark.parametrize("g", [
@@ -209,6 +217,7 @@ class TestBoundedDegreeOracle:
     @pytest.mark.parametrize("nodes, slots", [
         ([0, 3], [1, 1]), ([-1, 0], [1, 1]), ([0, 1], [1, 0]), ([2, 0], [1, 3]),
         ([0, 1], [1]), ([1.7], [1]), ([1], [1.9]), ([True], [1]),
+        ([0, True], [1, 1]), ([0, 1], [True, 1]), ([0, np.True_], [1, 1]),
     ])
     def test_query_batch_rejects_any_bad_entry_uncharged(self, nodes, slots):
         o = BoundedDegreeOracle(make_graph(3, [(0, 1, Sign.PLUS)], d=2))
