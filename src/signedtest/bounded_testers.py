@@ -156,9 +156,8 @@ def _contract_to_g_cycle(cyc: list[int], n: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 def read_whole_graph(o: BoundedDegreeOracle) -> SignedGraph:
-    """The graph behind o, sharing its rows, read through ``o.neighbors``:
-    node v costs min(deg(v) + 1, d) queries, so the whole read at most N*d."""
-    return SignedGraph(o.n, tuple(map(o.neighbors, range(o.n))), o.d)
+    """The graph behind o, ``o.read_all()``: min(deg(v) + 1, d) queries a node, at most N*d."""
+    return o.read_all()
 
 
 def walk_schedule(schedule, n: int, d: int, eps: float,

@@ -3,15 +3,15 @@
 A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
 immutable ``SignedGraph`` defined here. ``SignedGraph.from_arrays`` builds one
-from (u, v, sign) integer arrays with vectorized checks and keeps the CSR
-arrays it sorts them into; the generators and the ``.sgl`` loader use it. The
-loader checks a file's header before it reads the body, then reads a body in
-the plain form ``save_edge_list`` writes in one vectorized pass, and any other
-body line by line, naming the line at fault.
+from (u, v, sign) integer arrays with vectorized checks, as a ``CSRGraph`` that
+builds its rows at the first read; the generators and the ``.sgl`` loader use
+it. The loader checks a file's header before it reads the body, then reads a
+body in the plain form ``save_edge_list`` writes in one vectorized pass, and
+any other body line by line, naming the line at fault.
 ``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
 loop that is about ten times cheaper on a graph of a few nodes; tests and
 hand-written lists use it, and ``from_arrays`` calls it only to word a
-rejection. A whole-graph read shares the rows it reads and calls neither.
+rejection. A whole-graph read calls neither.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ class GraphFormatError(ValueError):
     """Raised for malformed edge-list input or invalid graph construction."""
 
 
-# The largest instance built or loaded: loading an .sgl file of 10^6 edges
-# peaks at about 260 bytes of RSS a node plus 140 an edge (VmHWM above the
-# process start; CPython 3.11, NumPy 2.4, 64-bit Linux), under 2.5 GB at both.
+# The largest instance built or loaded: an .sgl load of 10^6 edges peaks at
+# about 200 bytes of RSS an edge, its rows then at 250 a node plus 60 an edge
+# (VmHWM above the start; CPython 3.11, NumPy 2.4, Linux), under 2 GB at both.
 MAX_NODES, MAX_EDGES = 4_000_000, 8_000_000
 
 
@@ -72,18 +72,17 @@ class SignedGraph:
 
     Neighbor order inside each adjacency list is edge insertion order; the
     bounded-degree oracle exposes exactly this order, so it is part of the
-    graph's identity, not an implementation detail. A dense induced read of
-    64 nodes or more is a ``CSRGraph``, which builds its rows when read.
+    graph's identity, not an implementation detail. ``from_arrays`` and a dense
+    induced read of 64 nodes or more give a ``CSRGraph``, rows built when read.
     """
 
     n: int
     adj: tuple[tuple[tuple[int, int], ...], ...]
     degree_bound: int | None = None
-    # Indexes shared by every oracle on the graph (see csr_rows), built at the
-    # first use or by from_arrays. An oracle keeps this dict instead of the
-    # graph: a dict of arrays is not GC-tracked after a collection, so a graph
-    # that only oracles reach is freed and adds no object for each full
-    # collection to scan.
+    # Indexes shared by every oracle on the graph: CSR arrays (see csr_rows)
+    # and a CSRGraph's rows once built. An oracle keeps this dict, not the
+    # graph: a dict of arrays and untracked tuples is untracked after full
+    # collections, so a graph only oracles reach is freed and costs them nothing.
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -131,9 +130,8 @@ class SignedGraph:
         Every check of ``from_edges`` runs vectorized; on any failure the
         edges go through ``from_edges``, which raises its message for the
         first offending edge. The entries are sorted into CSR arrays, rows in
-        insertion order, which the graph keeps in ``_indexes["csr"]``; its
-        rows are built from them as a ``CSRGraph``'s are, once the sort's
-        temporaries are freed.
+        insertion order, and returned as a ``CSRGraph`` that builds its rows
+        at the first read of ``adj``.
         """
         u, v, sign = arrays = [np.asarray(a) for a in (u, v, sign)]
         if any(a.ndim != 1 or a.dtype.kind not in "iu" or len(a) != len(u) for a in arrays):
@@ -151,10 +149,11 @@ class SignedGraph:
         if not ok:
             cls.from_edges(n, zip(*(a.tolist() for a in arrays)), degree_bound)
             raise AssertionError("from_edges accepted edges that from_arrays rejects")
+        del u, v, arrays  # ends holds the endpoints: ones a caller handed over are freed
         # entry 2i + j is edge i seen from its endpoint j; sorting the keys
         # (endpoint, entry) groups the entries by row, in insertion order
         # (n * 2m, like n * n above, fits int64 for any graph held in memory)
-        m2 = 2 * len(u)
+        m2 = 2 * len(ends)
         order = np.sort(ends.ravel() * m2 + np.arange(m2)) % m2
         indptr = np.concatenate(([0], np.cumsum(deg)))
         nbr, sgn = np.full(m2 + 1, -1, dtype=np.int64), np.full(m2 + 1, -1, dtype=np.int8)
@@ -162,10 +161,7 @@ class SignedGraph:
         # range, and mode "clip" writes into out where "raise" buffers a copy
         np.take(ends.ravel(), order ^ 1, out=nbr[:-1], mode="clip")
         np.take(sign.astype(np.int8, copy=False), order >> 1, out=sgn[:-1], mode="clip")
-        del ends, order
-        g = cls(n, _csr_adj(n, indptr, nbr, sgn), degree_bound)
-        g._indexes["csr"] = (indptr, nbr, sgn)
-        return g
+        return CSRGraph(n, {"csr": (indptr, nbr, sgn)}, degree_bound)
 
     @cached_property
     def _sign_map(self) -> tuple[dict[int, int], ...]:  # [u][v] -> sign of (u, v)
@@ -188,31 +184,31 @@ class SignedGraph:
 
 
 class CSRGraph(SignedGraph):
-    """A graph held as CSR arrays in csr_rows' form, with no degree bound,
-    equal to the SignedGraph of the same rows, built at the first read of adj."""
+    """A graph held as CSR arrays in csr_rows' form, equal to the SignedGraph of
+    its rows and degree bound; they are built at the first read, kept in _indexes."""
 
-    def __init__(self, n: int, csr: tuple[np.ndarray, np.ndarray, np.ndarray]):
-        self.__dict__.update(n=n, degree_bound=None, _indexes={"csr": csr})
+    def __init__(self, n: int, indexes: dict, degree_bound: int | None = None):
+        self.__dict__.update(n=n, degree_bound=degree_bound, _indexes=indexes)
 
     def __eq__(self, other):  # the dataclass eq compares graphs of one class only
-        return SignedGraph(self.n, self.adj) == other
+        return SignedGraph(self.n, self.adj, self.degree_bound) == other
 
     __hash__ = SignedGraph.__hash__
 
     @cached_property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _csr_adj(self.n, *self._indexes["csr"])
+        return self._indexes.get("adj") or _csr_adj(self.n, self._indexes)
 
 
-def _csr_adj(n: int, indptr, nbr, sign) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rows of CSR arrays in csr_rows' form. Each node's id is one int
-    object, and each (neighbour, sign) entry one tuple, shared by every row
-    that holds it."""
+def _csr_adj(n: int, indexes: dict) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of indexes["csr"], kept as indexes["adj"]: each node's id one int
+    object, each (neighbour, sign) entry one tuple, shared by every row holding it."""
+    indptr, nbr, sign = indexes["csr"]
     ids = list(range(n))
     table = np.fromiter(chain(zip(ids, repeat(0)), zip(ids, repeat(1))),
                         dtype=object, count=2 * n)  # entry (w, s) at s*n + w
     entries = table[nbr[:-1] + n * sign[:-1].astype(np.int64)].tolist()
-    return tuple(tuple(entries[a:b]) for a, b in pairwise(indptr.tolist()))
+    return indexes.setdefault("adj", tuple(tuple(entries[a:b]) for a, b in pairwise(indptr.tolist())))
 
 
 def validate(g: SignedGraph) -> str | None:

@@ -8,8 +8,8 @@ verification.
 Balance and clusterability share one BFS forest. A violating edge (u, v)
 closes the witness through ``forest_paths``, which the walk testers use too:
 the cycle runs from the lowest common ancestor down to u, across to v, and up.
-A graph held as CSR arrays, a dense induced read of 64 nodes or more, is
-checked on them without building its tuple rows: the BFS runs level by level.
+A CSRGraph with no rows built yet (a loaded file, a dense read of 64 nodes or
+more) is checked on its arrays; a graph with rows takes the FIFO loop.
 """
 
 from __future__ import annotations
@@ -66,13 +66,23 @@ def forest_paths(parent, u: int, v: int) -> tuple[list[int], list[int]]:
     return up_u[: on_u[v] + 1], up_v
 
 
+def _arrays(g: SignedGraph):
+    """The CSR arrays of a CSRGraph that holds no tuple rows yet, else None."""
+    return g._indexes["csr"] if isinstance(g, CSRGraph) and "adj" not in g._indexes else None
+
+
+def _entries(n: int, indptr, nbr, sign):
+    """Every row entry of CSR arrays as three arrays: its row, neighbour and sign."""
+    return np.repeat(np.arange(n), np.diff(indptr)), nbr[:indptr[-1]], sign[:indptr[-1]]
+
+
 def _bfs(g: SignedGraph, follow_negative: bool):
     """BFS forest over every edge, or the positive ones only: (parent, label,
     conflict). parent[v] is None at a root; label[v] = 2*root + parity, flipped
     by negative edges; conflict, the first followed edge whose labels disagree
-    (never in the positive forest), else None. A CSRGraph takes _level_bfs."""
-    if isinstance(g, CSRGraph):
-        return _level_bfs(g.n, *g._indexes["csr"], follow_negative)
+    (never in the positive forest), else None. CSR arrays take _level_bfs."""
+    if (csr := _arrays(g)) is not None:
+        return _level_bfs(g.n, *csr, follow_negative)
     parent: list[int | None] = [None] * g.n
     label = [-1] * g.n
     for root in range(g.n):
@@ -173,8 +183,14 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
     positive component; the smallest violating edge closes a cycle with
     exactly one negative edge through the positive BFS forest."""
     parent, label, _ = _bfs(g, follow_negative=False)
-    bad = min(((u, v) for u in range(g.n) for v, s in g.adj[u]
-               if s and u < v and label[u] == label[v]), default=None)
+    if (csr := _arrays(g)) is not None:  # the bad entries, read from the arrays
+        (src, dst, sign), lab = _entries(g.n, *csr), np.asarray(label)
+        at = (sign == 1) & (src < dst) & (lab[src] == lab[dst])
+        edges = zip(src[at].tolist(), dst[at].tolist())
+    else:
+        edges = ((u, v) for u in range(g.n) for v, s in g.adj[u]
+                 if s and u < v and label[u] == label[v])
+    bad = min(edges, default=None)
     if bad is not None:
         w = _cycle_witness(parent, label, *bad, WitnessKind.BAD_CYCLE)
         return ClusterabilityResult(False, None, w)
@@ -237,10 +253,9 @@ def frustration_index(g: SignedGraph) -> int:
 def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     """Edges a cluster labeling violates: positive across or negative inside,
     each counted once, from the row of its smaller end."""
-    if isinstance(g, CSRGraph):  # every entry on the arrays, kept from its smaller end
-        indptr, nbr, sign = g._indexes["csr"]
-        src, dst, lab = np.repeat(np.arange(g.n), np.diff(indptr)), nbr[:indptr[-1]], np.asarray(labels)
-        return int(((lab[src] != lab[dst]) ^ (sign[:indptr[-1]] == 1))[src < dst].sum())
+    if (csr := _arrays(g)) is not None:  # every entry on the arrays, kept from its smaller end
+        (src, dst, sign), lab = _entries(g.n, *csr), np.asarray(labels)
+        return int(((lab[src] != lab[dst]) ^ (sign == 1))[src < dst].sum())
     bad = 0
     for u, row in enumerate(g.adj):
         for v, s in row:
@@ -339,10 +354,12 @@ def verify_witness(g: SignedGraph, w: Witness) -> str | None:
         return f"cycle witness has only {k} nodes"
     if len(set(w.nodes)) != k:
         return "repeated node in cycle"
+    csr = _arrays(g)
     for u, v, s in w.edge_pairs():
         if not (0 <= u < g.n and 0 <= v < g.n):
             return f"node out of range on edge ({u},{v})"
-        actual = next((t for x, t in g.adj[u] if x == v), None)  # a row scan: sign_of indexes all rows
+        row = g.adj[u] if csr is None else zip(*(a[csr[0][u]:csr[0][u + 1]].tolist() for a in csr[1:]))
+        actual = next((t for x, t in row if x == v), None)  # a row scan: sign_of indexes all rows
         if actual is None:
             return f"missing edge ({u},{v})"
         if actual != s:

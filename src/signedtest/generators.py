@@ -107,12 +107,15 @@ def _rings_and_matchings(rng, members, rings, matchings, cap, degree):
     return made
 
 
-def _graph(n: int, parts, degree_bound: int | None = None) -> SignedGraph:
+def _graph(n: int, parts: list, degree_bound: int | None = None) -> SignedGraph:
     """One ``from_arrays`` build of ``parts``, each an (m, 2) array of pairs
-    and their sign (one int, or an array of m), in order."""
-    pairs = np.concatenate([p for p, _ in parts])
-    sign = np.concatenate([np.broadcast_to(s, len(p)) for p, s in parts])
-    return SignedGraph.from_arrays(n, pairs[:, 0], pairs[:, 1], sign, degree_bound)
+    and their sign (one int, or an array of m), in order; parts is emptied."""
+    columns = [np.concatenate(c) for c in zip(*((p[:, 0], p[:, 1], np.broadcast_to(s, len(p)))
+                                                for p, s in parts))]
+    parts.clear()  # from_arrays then holds the only references, and frees them once copied
+    g = SignedGraph.from_arrays(n, columns.pop(0), columns.pop(0), columns.pop(), degree_bound)
+    g.adj  # the rows: the FIFO checks, which stop at a first conflict, read them
+    return g
 
 
 def _group_split(n: int, k: int) -> list[range]:
@@ -173,8 +176,8 @@ def _gen_bad_triangles(spec: GenSpec, rng):
     if d < 2:
         raise ValueError("disjoint-bad-triangles needs degree bound >= 2")
     t = spec.n // 3
-    pairs = (3 * np.arange(t)[:, None, None] + [[0, 1], [1, 2], [0, 2]]).reshape(-1, 2)
-    g = _graph(spec.n, [(pairs, np.tile([_PLUS, _PLUS, _MINUS], t))], d)
+    g = _graph(spec.n, [((3 * np.arange(t)[:, None, None] + [[0, 1], [1, 2], [0, 2]]).reshape(-1, 2),
+                         np.tile([_PLUS, _PLUS, _MINUS], t))], d)
     return g, _record(t == 0, t == 0, ("clusterability", t, t, "exact", "additive over "
                       "vertex-disjoint triangles; balance distance is the same"), triangles=t)
 
@@ -186,8 +189,8 @@ def _gen_all_negative(spec: GenSpec, rng):
     if spec.n * d % 2:
         raise ValueError("all-negative-regular needs n*d even")
     degree = np.zeros(spec.n, dtype=np.int64)
-    pairs = _rings_and_matchings(rng, np.arange(spec.n), d // 2, d % 2, d, degree)
-    g = _graph(spec.n, [(pairs, _MINUS)], d)
+    g = _graph(spec.n, [(_rings_and_matchings(rng, np.arange(spec.n), d // 2, d % 2, d, degree),
+                         _MINUS)], d)
     m = g.num_edges
     # small draws are often bipartite, so balanced: check before certifying
     balanced = exact.is_balanced(g).balanced if d >= 3 else None
@@ -209,8 +212,9 @@ def _gen_balanced_two_side(spec: GenSpec, rng):
         parts = [(_rings_and_matchings(rng, np.arange(side.start, side.stop), 1, spec.d - 3,
                                        spec.d - 1, degree), _PLUS) for side in (left, right)]
         # one negative perfect matching across the sides
-        across = np.stack([np.arange(len(left)), right.start + rng.permutation(len(right))], axis=1)
-        g = _graph(spec.n, [*parts, (across, _MINUS)], spec.d)
+        parts.append((np.stack([np.arange(len(left)), right.start + rng.permutation(len(right))],
+                               axis=1), _MINUS))
+        g = _graph(spec.n, parts, spec.d)
     return g, _record(True, True, ("balance", 0, 0, "exact", "balanced by construction: "
                                    "positive inside sides, negative across"),
                       sides=[list(left), list(right)])
@@ -272,7 +276,8 @@ def _gen_planted_matching(spec: GenSpec, rng):
     if planted < target:
         raise ValueError(f"could not place {target} planted negative edges (placed {planted}); "
                          "lower planted_fraction or raise the group size")
-    g = _graph(n, [*parts, (np.array(pairs, dtype=np.int64).reshape(-1, 2), _MINUS)], d)
+    parts.append((np.array(pairs, dtype=np.int64).reshape(-1, 2), _MINUS))
+    g = _graph(n, parts, d)
     return g, _record(False, False, (
         "clusterability", 1, planted, "construction-backed", "each planted negative edge "
         "closes a cycle through its group's connected positive skeleton; deleting all "

@@ -3,16 +3,17 @@
 Testers never touch a ``SignedGraph`` directly; they see one of the two query
 models here. Every adjacency-matrix entry and every neighbor slot read adds
 one to ``query_count``, including empty-slot answers, whether it is read by
-``query`` or by a bulk read (``induced``, ``neighbors``, ``query_batch``).
-Free metadata is limited to the node count and (bounded model) the degree
-bound.
+``query`` or by a bulk read (``induced``, ``neighbors``, ``query_batch``,
+``read_all``). Free metadata is limited to the node count and (bounded model)
+the degree bound.
 
 ``query_batch``, and ``induced`` on a sample of ``_ARRAY_READ_MIN`` nodes or
 more, answer from the graph's rows as NumPy CSR arrays (``core.csr_rows``),
 which a generated or loaded graph holds from its build and any other gets at
 its first such read, shared by every oracle on the graph; below that size,
 looking each pair up in the per-row sign maps is cheaper than gathering whole
-rows. Such a read returns a ``core.CSRGraph``.
+rows. Such a read returns a ``core.CSRGraph``, as a loaded graph is, whose
+rows the bounded oracle builds at its first point read, and not in read_all.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -106,7 +107,8 @@ class DenseOracle:
         sgn = np.concatenate([sign[r] for r in rows])[kept]
         key = np.repeat(np.arange(0, k * k, k, dtype=np.int64), np.diff(cuts)) + col  # row*k + col
         order = np.argsort(key, kind="stable")
-        return CSRGraph(k, (cuts, np.append(col[order], -1), np.append(sgn[order], np.int8(-1))))
+        nbr, sgn = np.append(col[order], -1), np.append(sgn[order], np.int8(-1))
+        return CSRGraph(k, {"csr": (cuts, nbr, sgn)})
 
 
 class BoundedDegreeOracle:
@@ -124,8 +126,14 @@ class BoundedDegreeOracle:
         self.n = graph.n
         self.d = graph.degree_bound
         self.query_count = 0
-        self._adj = graph.adj
         self._indexes = graph._indexes  # holds the CSR index or gets it at a query_batch
+        if not isinstance(graph, CSRGraph) or "adj" in graph._indexes:
+            self._adj = graph.adj  # else _rows builds them at the first point read
+
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # not a property: a class attribute _adj slows each self._adj read (CPython 3.11)
+        self._adj = CSRGraph(self.n, self._indexes).adj  # built once, kept in _indexes
+        return self._adj
 
     def query(self, v: int, i: int) -> tuple[int, int] | None:
         if type(v) is not int or type(i) is not int:
@@ -135,7 +143,10 @@ class BoundedDegreeOracle:
         if not 1 <= i <= self.d:
             raise ValueError(f"neighbor index {i} outside 1..{self.d}")
         self.query_count += 1
-        row = self._adj[v]
+        try:
+            row = self._adj[v]
+        except AttributeError:
+            row = self._rows()[v]
         if i <= len(row):
             return row[i - 1]
         return None
@@ -148,9 +159,21 @@ class BoundedDegreeOracle:
             v, = _integers(v)
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} out of range for n={self.n}")
-        row = self._adj[v]
+        try:
+            row = self._adj[v]
+        except AttributeError:
+            row = self._rows()[v]
         self.query_count += min(len(row) + 1, self.d)
         return row
+
+    def read_all(self) -> SignedGraph:
+        """The whole graph at min(deg(v) + 1, d) queries a node, as neighbors(v)
+        charges: its rows once built, else its CSR arrays as a CSRGraph."""
+        if adj := getattr(self, "_adj", None) or self._indexes.get("adj"):
+            self.query_count += sum(min(len(row) + 1, self.d) for row in adj)
+            return SignedGraph(self.n, adj, self.d)
+        self.query_count += int(np.minimum(np.diff(self._indexes["csr"][0]) + 1, self.d).sum())
+        return CSRGraph(self.n, self._indexes, self.d)
 
     def query_batch(self, nodes, slots) -> tuple[np.ndarray, np.ndarray]:
         """query(nodes[k], slots[k]) for every k at once, as two arrays
@@ -166,7 +189,7 @@ class BoundedDegreeOracle:
             raise ValueError(f"neighbor index outside 1..{self.d}")
         nodes, slots = nodes.astype(np.int64, copy=False), slots.astype(np.int64, copy=False)
         self.query_count += nodes.size
-        indptr, nbr, sign = csr_rows(self._adj, self._indexes)
+        indptr, nbr, sign = self._indexes.get("csr") or csr_rows(self._adj, self._indexes)
         pos = indptr[nodes] + slots - 1
         pos[pos >= indptr[nodes + 1]] = -1  # an empty slot reads the -1 past the last row
         return nbr[pos], sign[pos]

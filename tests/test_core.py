@@ -389,6 +389,24 @@ class TestAdjacencyNotTracked:
         save_edge_list(g, tmp_path / "g.sgl")
         _assert_adjacency_untracked(load_edge_list(tmp_path / "g.sgl", degree_bound=8))
 
+    def test_loaded_graph_rows_taken_by_its_bounded_oracle(self, tmp_path):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 48, seed=5, d=8))
+        save_edge_list(g, tmp_path / "g.sgl")
+        o = BoundedDegreeOracle(load_edge_list(tmp_path / "g.sgl", degree_bound=8))
+        assert "adj" not in o._indexes  # no rows until the first point read
+        o.query(0, 1)
+        adj = o._indexes["adj"]
+        assert o._adj is adj  # kept by the oracle too: later point reads take it at once
+        gc.collect()
+        tracked = [(v, pair) for v, row in enumerate(adj) for pair in row if gc.is_tracked(pair)]
+        assert not tracked, tracked[:3]
+        # a collection untracks a tuple once its items are: the rows at the
+        # second, their tuple and then the dict that holds it at the third
+        gc.collect()
+        gc.collect()
+        assert not gc.is_tracked(adj) and not gc.is_tracked(o._indexes)
+        assert o.neighbors(5) is adj[5] and list(map(len, adj)) == list(map(len, g.adj))
+
     def test_oracle_reads(self):
         g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 30, seed=1, d=6, k=3))
         whole = read_whole_graph(BoundedDegreeOracle(g))

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from signedtest import exact
-from signedtest.core import Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind
-from signedtest.generators import PLANTED_NEGATIVE_MATCHING, GenSpec, generate
+from signedtest.core import (
+    Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind, load_edge_list, save_edge_list,
+)
+from signedtest.generators import ALL_NEGATIVE_REGULAR, PLANTED_NEGATIVE_MATCHING, GenSpec, generate
 from signedtest.exact import (
     SizeCapError,
     clustering_violations,
@@ -429,29 +431,56 @@ def _level_bfs_ran(*args):
     raise _ArrayPath
 
 
-class TestArrayPathIsChosenByClass:
-    """The BFS reads CSR arrays exactly on a CSRGraph. A plain graph keeps the
-    FIFO loop, though it holds arrays from its build or from an oracle's
-    batch read, and every check on it answers as on the same rows alone."""
+class TestArrayPathIsChosenByRows:
+    """The checks read CSR arrays exactly on a graph that holds no tuple rows
+    yet, and answer as on its rows without building them. A graph with rows
+    keeps the FIFO loop, though it holds arrays from its build or from an
+    oracle's batch read, and answers as on the same rows alone."""
 
-    def test_plain_graphs_holding_arrays_take_the_loop(self, monkeypatch):
-        generated, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 200, seed=3))
+    @staticmethod
+    def _generated_and_loaded(tmp_path):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 200, seed=3))
+        save_edge_list(g, tmp_path / "g.sgl")
+        return g, load_edge_list(tmp_path / "g.sgl", degree_bound=g.degree_bound)
+
+    def test_graphs_with_rows_take_the_loop(self, monkeypatch, tmp_path):
+        generated, loaded = self._generated_and_loaded(tmp_path)
+        loaded.adj  # a loaded graph once its rows are read
         from_edges = SignedGraph.from_edges(200, generated.edges(), generated.degree_bound)
         BoundedDegreeOracle(from_edges).query_batch([0], [1])
         monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
+        generate(GenSpec(ALL_NEGATIVE_REGULAR, 200, seed=3))  # its builder checks balance
         labels = [v % 3 for v in range(200)]
-        for g in (generated, from_edges):
+        for g in (generated, from_edges, loaded):
             assert "csr" in g._indexes
             bare = SignedGraph(g.n, g.adj)  # the same rows, holding no arrays
             assert is_balanced(g) == is_balanced(bare)
+            assert is_clusterable(g) == is_clusterable(bare)
             assert positive_component_clustering(g) == positive_component_clustering(bare)
             assert clustering_violations(g, labels) == clustering_violations(bare, labels)
 
-    def test_a_csr_graph_takes_the_array_path(self, monkeypatch):
-        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 200, seed=3))
-        read = DenseOracle(g).induced(range(100))
-        assert isinstance(read, CSRGraph)
-        monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
-        for check in (is_balanced, positive_component_clustering):
-            with pytest.raises(_ArrayPath):
-                check(read)
+    def test_graphs_holding_only_arrays_take_the_array_path(self, monkeypatch, tmp_path):
+        generated, loaded = self._generated_and_loaded(tmp_path)
+        read = DenseOracle(generated).induced(range(100))
+        labels = [v % 3 for v in range(200)]
+        for g in (loaded, read):
+            assert isinstance(g, CSRGraph) and "adj" not in g._indexes
+            bare = SignedGraph(g.n, CSRGraph(g.n, {"csr": g._indexes["csr"]}).adj)
+            balance, cluster = is_balanced(g), is_clusterable(g)
+            assert balance == is_balanced(bare) and cluster == is_clusterable(bare)
+            assert positive_component_clustering(g) == positive_component_clustering(bare)
+            assert clustering_violations(g, labels[:g.n]) == clustering_violations(bare, labels[:g.n])
+            witnesses = [w for w in (balance.witness, cluster.witness) if w is not None]
+            assert witnesses, "the planted matching is far from both properties"
+            for w in witnesses:
+                flipped = Witness(w.kind, w.nodes, (1 - w.signs[0], *w.signs[1:]))
+                broken = Witness(w.kind, w.nodes[:-1] + (g.n - 1 - w.nodes[0],), w.signs)
+                for x in (w, flipped, broken):
+                    assert verify_witness(g, x) == verify_witness(bare, x)
+            assert "adj" not in g._indexes and "adj" not in vars(g)  # no check built rows
+            monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
+            for check in (is_balanced, is_clusterable, positive_component_clustering):
+                with pytest.raises(_ArrayPath):
+                    check(g)
+            monkeypatch.undo()
+        assert list(loaded.edges()) == list(generated.edges())

@@ -396,6 +396,32 @@ def test_from_arrays_keeps_the_csr_arrays_of_the_rows_it_builds(case, dtype):
     assert_csr_of_rows(g._indexes["csr"], g.adj)
 
 
+
+@FUZZ
+@given(edge_lists(min_nodes=2), st.integers(0, 2), st.sampled_from([1.0, 1.5, 8.0]))
+def test_whole_graph_read_is_the_same_from_csr_arrays_as_from_tuple_rows(case, slack, eps):
+    n, edges = case
+    edges = [(u, v, _stored(s)) for u, v, s in edges]
+    d = max([2, *Counter(x for u, v, _ in edges for x in (u, v)).values()]) + slack
+
+    def arrays_only():  # a fresh graph from from_arrays, its rows never read
+        cols = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+        return SignedGraph.from_arrays(n, *cols, d)
+
+    rows = SignedGraph.from_edges(n, edges, d)
+    by_arrays, by_rows = BoundedDegreeOracle(arrays_only()), BoundedDegreeOracle(rows)
+    got, want = bt.read_whole_graph(by_arrays), bt.read_whole_graph(by_rows)
+    assert isinstance(got, core.CSRGraph) and "adj" not in got._indexes
+    assert by_arrays.query_count == by_rows.query_count
+    assert by_rows.query_count == sum(min(len(row) + 1, d) for row in rows.adj)
+    assert got == want and got.degree_bound == want.degree_bound == d
+    for tester in (bt.test_balance_bounded, bt.test_clusterability_bounded):
+        g = arrays_only()
+        v, w = tester(BoundedDegreeOracle(g), eps, 0), tester(BoundedDegreeOracle(rows), eps, 0)
+        assert (v.accept, v.witness, v.queries_used, v.exact_fallback) == \
+            (w.accept, w.witness, w.queries_used, w.exact_fallback)
+        assert v.exact_fallback and "adj" not in g._indexes  # answered on the arrays
+
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 # departures from the plain form that the line reader accepts, each made to
 # one line or to the whole text; made in this order, they compose

@@ -12,7 +12,7 @@ from scipy.stats import binomtest, norm
 
 import signedtest
 from signedtest import bounded_testers as bt
-from signedtest import cli
+from signedtest import cli, core
 from signedtest.core import Sign, Witness, WitnessKind, save_edge_list
 from signedtest.generators import (
     BALANCED_TWO_SIDE,
@@ -341,6 +341,29 @@ class TestCli:
         meta = json.loads((tmp_path / "inst.meta.json").read_text())
         assert meta["spec"]["family"] == CLUSTERABLE_COMMUNITIES
         assert meta["spec"]["n"] == 40
+
+    def test_fallback_test_and_verify_on_a_saved_graph_build_no_rows(self, tmp_path, monkeypatch):
+        # the whole-graph read, both exact checks and the witness check all
+        # read the loaded graph's CSR arrays
+        graph, d = tmp_path / "g.sgl", "8"
+        assert cli.main(["gen", "--family", PLANTED_NEGATIVE_MATCHING, "--n", "400",
+                         "--seed", "2", "--out", str(graph)]) == 0
+
+        def built(*args):
+            raise AssertionError("tuple rows were built")
+        monkeypatch.setattr(core, "_csr_adj", built)
+        for prop in ("balance", "clusterability"):
+            report, witness, verdict = (tmp_path / f"{prop}.{x}.json" for x in ("r", "w", "v"))
+            assert cli.main(["test", "--in", str(graph), "--d", d, "--model", "bounded",
+                             "--property", prop, "--eps", "0.1", "--trials", "2",
+                             "--out", str(report)]) == 0
+            rows = json.loads(report.read_text())["trials"]
+            assert all(r["exact_fallback"] and r["decision"] == "reject" and r["witness_valid"]
+                       for r in rows)
+            witness.write_text(json.dumps(rows[0]["witness"]))
+            assert cli.main(["verify", "--graph", str(graph), "--d", d, "--witness", str(witness),
+                             "--out", str(verdict)]) == 0
+            assert json.loads(verdict.read_text()) == {"valid": True, "error": None}
 
     def test_exact_subcommand(self, tmp_path, capsys):
         out = tmp_path / "g.sgl"
