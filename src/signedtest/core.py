@@ -4,10 +4,10 @@ A signed graph is a simple undirected graph whose edges carry a + or - label.
 Everything downstream (exact checkers, testers, generators) works on the
 immutable ``SignedGraph`` defined here. ``SignedGraph.from_arrays`` builds one
 from (u, v, sign) integer arrays with vectorized checks, as a ``CSRGraph`` that
-builds its rows at the first read; the generators and the ``.sgl`` loader use
-it. The loader checks a file's header before it reads the body, then reads a
-body in the plain form ``save_edge_list`` writes in one vectorized pass, and
-any other body line by line, naming the line at fault.
+builds its rows at the first read of ``adj``; the generators and the ``.sgl``
+loader use it, and build no rows. The loader checks a file's header first, then
+reads a body in the plain form ``save_edge_list`` writes (from the CSR arrays)
+in vectorized passes, and any other body line by line, naming the line at fault.
 ``SignedGraph.from_edges`` takes any iterable of edge tuples, with a Python
 loop that is about ten times cheaper on a graph of a few nodes; tests and
 hand-written lists use it, and ``from_arrays`` calls it only to word a
@@ -17,7 +17,6 @@ rejection. A whole-graph read calls neither.
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -79,10 +78,10 @@ class SignedGraph:
     n: int
     adj: tuple[tuple[tuple[int, int], ...], ...]
     degree_bound: int | None = None
-    # Indexes shared by every oracle on the graph: CSR arrays (see csr_rows)
-    # and a CSRGraph's rows once built. An oracle keeps this dict, not the
-    # graph: a dict of arrays and untracked tuples is untracked after full
-    # collections, so a graph only oracles reach is freed and costs them nothing.
+    # Indexes shared by every oracle on the graph: CSR arrays (see csr_rows), a
+    # CSRGraph's rows once built, and the bounded oracles' row store. An oracle
+    # keeps this dict, not the graph: a dict of arrays and untracked tuples is
+    # untracked after full collections, so a graph only oracles reach is freed.
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -269,11 +268,24 @@ def load_edge_list(source: str | Path | TextIO, degree_bound: int | None = None)
         return _parse(fh, degree_bound)
 
 
-# The plain body, as save_edge_list writes it: one "u v s" line per edge,
-# single spaces, every line ending in LF, no comment or blank line. With at
-# most 18 digits, every number fits int64.
-_PLAIN_BODY = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18} [+-]\n)*")
 _SIGN_DIGITS = str.maketrans("+-", "01")
+_WRITE_LINES = 1 << 16  # lines save_edge_list formats at a time: never a whole large text
+_PLUS_LINE, _MINUS_LINE = np.frombuffer(b"  +\n  -\n", dtype="<i4").tolist()
+
+
+def _plain(body: str, m: int) -> bool:
+    """Is body m lines "u v s" as save_edge_list writes them: u and v of 1 to 18
+    digits (so each fits int64), single spaces, s '+' or '-', LF endings, no
+    comment or blank line? Checked on the bytes; each line's 4 non-digits, " ", " ",
+    s and LF, are read as one int32, _PLUS_LINE or _MINUS_LINE."""
+    raw = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)  # others read '?'
+    sep = np.flatnonzero((raw < 48) | (raw > 57))  # every byte but '0'-'9'
+    if len(sep) != 4 * m or len(raw) != (sep[-1] + 1 if m else 0):
+        return False
+    gap = np.diff(sep, prepend=-1).reshape(m, 4)  # 1 + the digits before each
+    line = raw[sep].view("<i4")
+    return m == 0 or bool(gap[:, :2].min() >= 2 and gap.max() <= 19 and gap[:, 2:].max() == 1
+                          and ((line == _PLUS_LINE) | (line == _MINUS_LINE)).all())
 
 
 def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
@@ -283,7 +295,7 @@ def _parse(stream: TextIO, degree_bound: int | None) -> SignedGraph:
     first = stream.readline().removeprefix("\ufeff")
     lineno, n, m = _header(_data_lines(chain([first], iter(stream.readline, ""))))
     body = stream.read()
-    if _PLAIN_BODY.fullmatch(body) and body.count("\n") == m:
+    if _plain(body, m):
         cols = np.fromstring(body.translate(_SIGN_DIGITS), dtype=np.int64, sep=" ")
         u, v, s = cols.reshape(m, 3).T
         if (u < v).all() and (v < n).all():
@@ -347,9 +359,14 @@ def save_edge_list(g: SignedGraph, dest: str | Path | TextIO) -> None:
 
 
 def _write(g: SignedGraph, fh: TextIO) -> None:
-    fh.write(f"{g.n} {g.num_edges}\n")
-    for u, v, s in g.edges():
-        fh.write(f"{u} {v} {'+-'[s]}\n")
+    """Write from the CSR arrays (a graph from edge tuples gets them for the write only)."""
+    src, dst, sign = csr_entries(g.n, *(g._indexes.get("csr") or csr_rows(g.adj, {})))
+    key = np.sort(((src * g.n + dst) * 2 + sign)[src < dst])  # (u, v, s) packed, as edges() sorts
+    fh.write(f"{g.n} {len(key)}\n")
+    for lo in range(0, len(key), _WRITE_LINES):
+        uv, s = np.divmod(key[lo:lo + _WRITE_LINES], 2)
+        rows = zip(*(a.tolist() for a in (*np.divmod(uv, g.n), s)))
+        fh.write("".join([f"{u} {v} {'+-'[c]}\n" for u, v, c in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +402,11 @@ def csr_rows(adj: tuple[tuple[tuple[int, int], ...], ...],
         sign = np.fromiter(chain(map(itemgetter(1), flat(adj)), [-1]), dtype=np.int8, count=count)
         csr = indexes["csr"] = (indptr, nbr, sign)
     return csr
+
+
+def csr_entries(n: int, indptr, nbr, sign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row entry of CSR arrays as three arrays: its row, neighbour and sign."""
+    return np.repeat(np.arange(n), np.diff(indptr)), nbr[:indptr[-1]], sign[:indptr[-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ verification.
 Balance and clusterability share one BFS forest. A violating edge (u, v)
 closes the witness through ``forest_paths``, which the walk testers use too:
 the cycle runs from the lowest common ancestor down to u, across to v, and up.
-A CSRGraph with no rows built yet (a loaded file, a dense read of 64 nodes or
-more) is checked on its arrays; a graph with rows takes the FIFO loop.
+A CSRGraph with no rows yet and 2048+ row entries (generated, loaded, a dense
+read) is checked on its arrays, node 0's tree first; others take the FIFO loop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind
+from .core import Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind, csr_entries
 
 FRUSTRATION_MAX_NODES = 24
 K_FRUSTRATION_MAX_NODES = 12
@@ -66,14 +66,13 @@ def forest_paths(parent, u: int, v: int) -> tuple[list[int], list[int]]:
     return up_u[: on_u[v] + 1], up_v
 
 
+_ARRAY_MIN_ENTRIES = 2048  # on fewer, rows built once and the FIFO loop cost less
+
+
 def _arrays(g: SignedGraph):
-    """The CSR arrays of a CSRGraph that holds no tuple rows yet, else None."""
-    return g._indexes["csr"] if isinstance(g, CSRGraph) and "adj" not in g._indexes else None
-
-
-def _entries(n: int, indptr, nbr, sign):
-    """Every row entry of CSR arrays as three arrays: its row, neighbour and sign."""
-    return np.repeat(np.arange(n), np.diff(indptr)), nbr[:indptr[-1]], sign[:indptr[-1]]
+    """The CSR arrays of a CSRGraph with no rows yet and 2m >= _ARRAY_MIN_ENTRIES, else None."""
+    csr = isinstance(g, CSRGraph) and "adj" not in g._indexes and g._indexes["csr"]
+    return csr if csr and csr[0][-1] >= _ARRAY_MIN_ENTRIES else None
 
 
 def _bfs(g: SignedGraph, follow_negative: bool):
@@ -106,20 +105,28 @@ def _bfs(g: SignedGraph, follow_negative: bool):
 
 
 def _level_bfs(n: int, indptr, nbr, sign, follow_negative: bool):
-    """_bfs on CSR arrays: a level of every tree at a time, trees in root order
-    and rows in FIFO order. The conflict is the first in the lowest tree with
-    one; what the FIFO loop would not have reached by then is unlabelled."""
+    """_bfs on CSR arrays a level at a time, rows in FIFO order: over every edge,
+    node 0's tree alone up to its first level with a conflict, then, unless it has
+    one or spans the graph, every other tree at once. The conflict is the first in
+    the lowest tree with one; what the FIFO loop would not reach by then is unlabelled."""
     if not follow_negative:  # keep the positive entries only
         kept = np.flatnonzero(sign[:indptr[-1]] == 0)
         indptr, nbr, sign = np.searchsorted(kept, indptr), nbr[kept], sign[kept]
-    rows, low, comp = np.flatnonzero(deg := np.diff(indptr)), np.arange(n), None
-    while comp is None or (low != comp).any():  # comp ends as each node's lowest reachable node
-        comp, low = low, low.copy()
-        low[rows] = np.minimum(comp[rows], np.minimum.reduceat(comp[nbr[:indptr[-1]]], indptr[rows]))
-        low = low[low]
-    label, parent, stamp = np.where(comp == np.arange(n), 2 * comp, -1), np.full(n, -1), np.full(n, -1)
-    frontier, firsts, done = np.flatnonzero(label >= 0), {}, 0  # the roots, lowest first
-    while frontier.size:
+    deg, label, parent, stamp = np.diff(indptr), np.full(n, -1), np.full(n, -1), np.full(n, -1)
+    frontier = np.zeros(int(follow_negative), dtype=np.int64)  # node 0, over every edge only
+    label[frontier], firsts, done, every = 0, {}, 0, False
+    while every or not firsts:  # firsts: each tree's first conflict, {root: (entry, u, v)}
+        if not frontier.size:  # node 0's tree, if grown, is done and has no conflict
+            if every or label.min() >= 0:
+                break
+            rows, low, comp = np.flatnonzero(deg), np.arange(n), None
+            while comp is None or (low != comp).any():  # comp ends as each node's lowest reachable
+                comp, low = low, low.copy()
+                reach = np.minimum.reduceat(comp[nbr[:indptr[-1]]], indptr[rows])
+                low[rows] = np.minimum(comp[rows], reach)
+                low = low[low]
+            frontier = np.flatnonzero((comp == np.arange(n)) & (label < 0))  # the roots, in order
+            label[frontier], every = 2 * frontier, True
         src, d = np.repeat(frontier, deg[frontier]), deg[frontier]
         at = np.arange(len(src)) + np.repeat(indptr[frontier + 1] - np.cumsum(d), d)
         dst, want = nbr[at], label[src] ^ sign[at]
@@ -128,16 +135,16 @@ def _level_bfs(n: int, indptr, nbr, sign, follow_negative: bool):
         first = new[first]  # the entry of each new node's first arrival
         have[new] = want[first][back]
         bad = np.flatnonzero(have != want)
-        for root, i in zip(*(a.tolist() for a in np.unique(comp[src[bad]], return_index=True))):
+        for root, i in np.transpose(np.unique(label[src[bad]] >> 1, return_index=True)).tolist():
             firsts.setdefault(root, (done + bad[i], int(src[bad[i]]), int(dst[bad[i]])))
         label[fresh], parent[fresh], stamp[fresh] = want[first], src[first], done + first
         done, frontier = done + len(at), dst[np.sort(first)]
     if firsts:
-        root = min(firsts)
-        drop = (comp > root) | ((comp == root) & (stamp > firsts[root][0]))
+        root, (entry, *conflict) = min(firsts.items())
+        drop = ((tree := label >> 1) > root) | ((tree == root) & (stamp > entry))
         label[drop] = parent[drop] = -1
     return ([None if p < 0 else p for p in parent.tolist()], label.tolist(),
-            firsts[min(firsts)][1:] if firsts else None)
+            tuple(conflict) if firsts else None)
 
 
 def _cycle_witness(parent: list, label: list, u: int, v: int, kind: WitnessKind) -> Witness:
@@ -184,7 +191,7 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
     exactly one negative edge through the positive BFS forest."""
     parent, label, _ = _bfs(g, follow_negative=False)
     if (csr := _arrays(g)) is not None:  # the bad entries, read from the arrays
-        (src, dst, sign), lab = _entries(g.n, *csr), np.asarray(label)
+        (src, dst, sign), lab = csr_entries(g.n, *csr), np.asarray(label)
         at = (sign == 1) & (src < dst) & (lab[src] == lab[dst])
         edges = zip(src[at].tolist(), dst[at].tolist())
     else:
@@ -254,7 +261,7 @@ def clustering_violations(g: SignedGraph, labels: Sequence[int]) -> int:
     """Edges a cluster labeling violates: positive across or negative inside,
     each counted once, from the row of its smaller end."""
     if (csr := _arrays(g)) is not None:  # every entry on the arrays, kept from its smaller end
-        (src, dst, sign), lab = _entries(g.n, *csr), np.asarray(labels)
+        (src, dst, sign), lab = csr_entries(g.n, *csr), np.asarray(labels)
         return int(((lab[src] != lab[dst]) ^ (sign == 1))[src < dst].sum())
     bad = 0
     for u, row in enumerate(g.adj):

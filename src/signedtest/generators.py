@@ -109,13 +109,12 @@ def _rings_and_matchings(rng, members, rings, matchings, cap, degree):
 
 def _graph(n: int, parts: list, degree_bound: int | None = None) -> SignedGraph:
     """One ``from_arrays`` build of ``parts``, each an (m, 2) array of pairs
-    and their sign (one int, or an array of m), in order; parts is emptied."""
+    and their sign (one int, or an array of m), in order; parts is emptied.
+    The graph holds its CSR arrays only: no tuple row is built here."""
     columns = [np.concatenate(c) for c in zip(*((p[:, 0], p[:, 1], np.broadcast_to(s, len(p)))
                                                 for p, s in parts))]
     parts.clear()  # from_arrays then holds the only references, and frees them once copied
-    g = SignedGraph.from_arrays(n, columns.pop(0), columns.pop(0), columns.pop(), degree_bound)
-    g.adj  # the rows: the FIFO checks, which stop at a first conflict, read them
-    return g
+    return SignedGraph.from_arrays(n, columns.pop(0), columns.pop(0), columns.pop(), degree_bound)
 
 
 def _group_split(n: int, k: int) -> list[range]:
@@ -303,7 +302,7 @@ def generate(spec: GenSpec) -> tuple[SignedGraph, dict[str, Any]]:
     spawn_key = (FAMILIES.index(spec.family),)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=spawn_key))
     g, record = _FAMILIES[spec.family].build(spec, rng)
-    degs = list(map(len, g.adj))
+    degs = np.diff(g._indexes["csr"][0])
     return g, {"spec": asdict(spec), "notes": [], **record,
-               "degree": {"min": min(degs), "max": max(degs), "bound": g.degree_bound},
+               "degree": {"min": int(degs.min()), "max": int(degs.max()), "bound": g.degree_bound},
                "edges": g.num_edges}

@@ -12,8 +12,8 @@ more, answer from the graph's rows as NumPy CSR arrays (``core.csr_rows``),
 which a generated or loaded graph holds from its build and any other gets at
 its first such read, shared by every oracle on the graph; below that size,
 looking each pair up in the per-row sign maps is cheaper than gathering whole
-rows. Such a read returns a ``core.CSRGraph``, as a loaded graph is, whose
-rows the bounded oracle builds at its first point read, and not in read_all.
+rows. Such a read returns a ``core.CSRGraph``, as generate and the loader do;
+on one with no rows, each bounded point read builds its row once, for all oracles.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -127,13 +127,17 @@ class BoundedDegreeOracle:
         self.d = graph.degree_bound
         self.query_count = 0
         self._indexes = graph._indexes  # holds the CSR index or gets it at a query_batch
-        if not isinstance(graph, CSRGraph) or "adj" in graph._indexes:
-            self._adj = graph.adj  # else _rows builds them at the first point read
+        built = not isinstance(graph, CSRGraph) or "adj" in graph._indexes  # its rows
+        self._adj = graph.adj if built else self._indexes.get("rows")
+        if self._adj is None:  # a row store, filled by _row: unlike a list, never GC-tracked
+            self._adj = self._indexes["rows"] = np.full(self.n, None)
 
-    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # not a property: a class attribute _adj slows each self._adj read (CPython 3.11)
-        self._adj = CSRGraph(self.n, self._indexes).adj  # built once, kept in _indexes
-        return self._adj
+    def _row(self, v: int) -> tuple[tuple[int, int], ...]:
+        """v's row, built from the CSR arrays and kept in the row store."""
+        indptr, nbr, sign = self._indexes["csr"]
+        a, b = indptr[v:v + 2].tolist()
+        row = self._adj[v] = tuple(zip(nbr[a:b].tolist(), sign[a:b].tolist()))
+        return row
 
     def query(self, v: int, i: int) -> tuple[int, int] | None:
         if type(v) is not int or type(i) is not int:
@@ -143,10 +147,8 @@ class BoundedDegreeOracle:
         if not 1 <= i <= self.d:
             raise ValueError(f"neighbor index {i} outside 1..{self.d}")
         self.query_count += 1
-        try:
-            row = self._adj[v]
-        except AttributeError:
-            row = self._rows()[v]
+        if (row := self._adj[v]) is None:
+            row = self._row(v)
         if i <= len(row):
             return row[i - 1]
         return None
@@ -159,17 +161,15 @@ class BoundedDegreeOracle:
             v, = _integers(v)
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} out of range for n={self.n}")
-        try:
-            row = self._adj[v]
-        except AttributeError:
-            row = self._rows()[v]
+        if (row := self._adj[v]) is None:
+            row = self._row(v)
         self.query_count += min(len(row) + 1, self.d)
         return row
 
     def read_all(self) -> SignedGraph:
         """The whole graph at min(deg(v) + 1, d) queries a node, as neighbors(v)
-        charges: its rows once built, else its CSR arrays as a CSRGraph."""
-        if adj := getattr(self, "_adj", None) or self._indexes.get("adj"):
+        charges: its rows if this oracle reads them, else its CSR arrays as a CSRGraph."""
+        if not isinstance(adj := self._adj, np.ndarray):
             self.query_count += sum(min(len(row) + 1, self.d) for row in adj)
             return SignedGraph(self.n, adj, self.d)
         self.query_count += int(np.minimum(np.diff(self._indexes["csr"][0]) + 1, self.d).sum())

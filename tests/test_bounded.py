@@ -696,3 +696,26 @@ class TestConfigValidation:
             bt.test_balance_bounded(_oracle(g), 0.0, 0)
         with pytest.raises(ValueError, match="eps"):
             bt.test_clusterability_bounded(_oracle(g), -0.5, 0)
+
+
+@pytest.mark.parametrize("family, d, tester", [
+    (ALL_NEGATIVE_REGULAR, 3, lambda o, s: bt.test_balance_bounded(o, 0.9, s, constants=WALK_BAL)),
+    (BALANCED_TWO_SIDE, 4, lambda o, s: bt.test_balance_bounded(o, 0.9, s, constants=WALK_BAL)),
+    (DISJOINT_BAD_TRIANGLES, 2,
+     lambda o, s: bt.test_clusterability_bounded(o, 0.5, s, constants=WALK_CLU)),
+    (CLUSTERABLE_COMMUNITIES, 6,
+     lambda o, s: bt.test_clusterability_bounded(o, 0.5, s, constants=WALK_CLU)),
+    (CLUSTERABLE_COMMUNITIES, 6, lambda o, s: bt.test_triangle_bounded(o, "++-", 0.5, s)),
+], ids=["balance-reject", "balance-accept", "clusterability-reject", "clusterability-accept",
+        "triangle"])
+def test_a_walk_verdict_builds_the_rows_it_point_reads_and_no_other(family, d, tester):
+    g, _ = generate(GenSpec(family, 2000, seed=4, d=d))
+    o, read = _oracle(g), set()
+    query, neighbors = o.query, o.neighbors
+    o.query = lambda v, i: read.add(v) or query(v, i)
+    o.neighbors = lambda v: read.add(v) or neighbors(v)
+    for seed in range(3):
+        v = tester(o, seed)
+        assert not v.exact_fallback
+        assert {u for u, row in enumerate(g._indexes["rows"]) if row is not None} == read
+    assert 0 < len(read) < g.n and "adj" not in g._indexes

@@ -6,6 +6,7 @@ from __future__ import annotations
 import codecs
 import gc
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from signedtest.core import (
     save_edge_list,
     validate,
 )
-from signedtest import oracles
+from signedtest import core, oracles
 from signedtest.bounded_testers import read_whole_graph
 from signedtest.exact import is_balanced
 from signedtest.generators import (
@@ -239,6 +240,8 @@ class TestEdgeListFormat:
             ("3 1\n0 1 +\n1 2 -\n", "more than"),
             ("3 2\n0 1 +\n", "declared 2"),
             ("2 1\na b +\n", "integers"),
+            ("2 1\n0 1 \ud800\n", "line 2: bad sign token"),  # a lone surrogate
+            ("2 1\n0 1 ?\n", "line 2: bad sign token"),
             # a header at both caps passes; nothing is built for the missing edges
             ("4000000 8000000\n", "declared 8000000 edges but found 0"),
         ],
@@ -269,6 +272,20 @@ class TestEdgeListFormat:
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             load_edge_list(io.StringIO("# c\n2 1\n0 1 ?\n"))
+
+    def test_save_writes_from_the_csr_arrays_and_builds_no_rows(self, monkeypatch):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 60, seed=2))
+        monkeypatch.setattr(core, "_csr_adj", mock.Mock(side_effect=AssertionError("rows built")))
+        texts = []
+        for lines in (1, 7, core._WRITE_LINES):  # the lines formatted at a time
+            monkeypatch.setattr(core, "_WRITE_LINES", lines)
+            texts.append(sgl_text(g))
+        monkeypatch.undo()
+        want = f"{g.n} {g.num_edges}\n" + "".join(f"{u} {v} {'+-'[s]}\n" for u, v, s in g.edges())
+        assert texts == [want] * 3
+        rows = SignedGraph.from_edges(g.n, g.edges(), g.degree_bound)
+        assert sgl_text(rows) == want and "csr" not in rows._indexes  # arrays for the write only
+        assert sgl_text(SignedGraph.from_edges(1, [])) == "1 0\n"
 
     def test_header_is_refused_before_the_body_is_read(self):
         class NoBodyRead(io.StringIO):
@@ -389,23 +406,41 @@ class TestAdjacencyNotTracked:
         save_edge_list(g, tmp_path / "g.sgl")
         _assert_adjacency_untracked(load_edge_list(tmp_path / "g.sgl", degree_bound=8))
 
-    def test_loaded_graph_rows_taken_by_its_bounded_oracle(self, tmp_path):
+    def test_one_point_read_builds_one_row(self, tmp_path):
+        g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 48, seed=5, d=8))
+        save_edge_list(g, tmp_path / "g.sgl")
+        for graph in (g, load_edge_list(tmp_path / "g.sgl", degree_bound=8)):
+            first, second = BoundedDegreeOracle(graph), BoundedDegreeOracle(graph)
+            store = graph._indexes["rows"]  # one row store per graph, for every oracle on it
+            assert first._adj is store and second._adj is store and all(r is None for r in store)
+            first.query(5, 1)
+            assert [v for v, row in enumerate(store) if row is not None] == [5]
+            row = store[5]
+            assert first.neighbors(5) is row and second.neighbors(5) is row  # built once
+            assert second.query(5, 2) == row[1]
+            second.neighbors(7)
+            assert [v for v, row in enumerate(store) if row is not None] == [5, 7]
+            assert "adj" not in graph._indexes
+            assert store[5] == graph.adj[5] and store[7] == graph.adj[7]
+
+    def test_row_store_and_its_rows_untracked(self, tmp_path):
         g, _ = generate(GenSpec(PLANTED_NEGATIVE_MATCHING, 48, seed=5, d=8))
         save_edge_list(g, tmp_path / "g.sgl")
         o = BoundedDegreeOracle(load_edge_list(tmp_path / "g.sgl", degree_bound=8))
-        assert "adj" not in o._indexes  # no rows until the first point read
-        o.query(0, 1)
-        adj = o._indexes["adj"]
-        assert o._adj is adj  # kept by the oracle too: later point reads take it at once
-        gc.collect()
-        tracked = [(v, pair) for v, row in enumerate(adj) for pair in row if gc.is_tracked(pair)]
-        assert not tracked, tracked[:3]
-        # a collection untracks a tuple once its items are: the rows at the
-        # second, their tuple and then the dict that holds it at the third
+        for v in range(0, 48, 3):
+            o.neighbors(v)
+            o.query(v + 1, 1)
+        store = o._indexes["rows"]
+        assert not gc.is_tracked(store)  # an object array: never tracked
+        # a collection untracks a tuple once its items are: the (neighbour,
+        # sign) pairs at the first, the rows that hold them at the second
         gc.collect()
         gc.collect()
-        assert not gc.is_tracked(adj) and not gc.is_tracked(o._indexes)
-        assert o.neighbors(5) is adj[5] and list(map(len, adj)) == list(map(len, g.adj))
+        rows = [row for row in store if row is not None]
+        tracked = [x for row in rows for x in (row, *row) if gc.is_tracked(x)]
+        assert len(rows) == 32 and not tracked, tracked[:3]
+        assert not gc.is_tracked(o._indexes)
+        assert all(type(v) is int and type(s) is int for row in rows for v, s in row)
 
     def test_oracle_reads(self):
         g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 30, seed=1, d=6, k=3))

@@ -4,6 +4,7 @@ independent enumerations written here."""
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from signedtest import exact
 from signedtest.core import (
     Clustering, CSRGraph, Sign, SignedGraph, Witness, WitnessKind, load_edge_list, save_edge_list,
 )
-from signedtest.generators import ALL_NEGATIVE_REGULAR, PLANTED_NEGATIVE_MATCHING, GenSpec, generate
+from signedtest.generators import (
+    ALL_NEGATIVE_REGULAR, BALANCED_TWO_SIDE, DISJOINT_BAD_TRIANGLES, FAMILIES,
+    PLANTED_NEGATIVE_MATCHING, GenSpec, generate,
+)
 from signedtest.exact import (
     SizeCapError,
     clustering_violations,
@@ -433,9 +437,11 @@ def _level_bfs_ran(*args):
 
 class TestArrayPathIsChosenByRows:
     """The checks read CSR arrays exactly on a graph that holds no tuple rows
-    yet, and answer as on its rows without building them. A graph with rows
-    keeps the FIFO loop, though it holds arrays from its build or from an
-    oracle's batch read, and answers as on the same rows alone."""
+    yet (every generated or loaded graph until something reads its rows) and
+    has _ARRAY_MIN_ENTRIES row entries or more, and answer as on its rows
+    without building them. A graph with rows keeps the FIFO loop, though it
+    holds arrays from its build or from an oracle's batch read, and answers as
+    on the same rows alone; so does a smaller one, once its rows are built."""
 
     @staticmethod
     def _generated_and_loaded(tmp_path):
@@ -445,11 +451,10 @@ class TestArrayPathIsChosenByRows:
 
     def test_graphs_with_rows_take_the_loop(self, monkeypatch, tmp_path):
         generated, loaded = self._generated_and_loaded(tmp_path)
-        loaded.adj  # a loaded graph once its rows are read
+        generated.adj, loaded.adj  # a generated and a loaded graph once their rows are read
         from_edges = SignedGraph.from_edges(200, generated.edges(), generated.degree_bound)
         BoundedDegreeOracle(from_edges).query_batch([0], [1])
         monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
-        generate(GenSpec(ALL_NEGATIVE_REGULAR, 200, seed=3))  # its builder checks balance
         labels = [v % 3 for v in range(200)]
         for g in (generated, from_edges, loaded):
             assert "csr" in g._indexes
@@ -459,6 +464,39 @@ class TestArrayPathIsChosenByRows:
             assert positive_component_clustering(g) == positive_component_clustering(bare)
             assert clustering_violations(g, labels) == clustering_violations(bare, labels)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_graphs_take_the_array_path(self, monkeypatch, family):
+        g, _ = generate(GenSpec(family, 1200, seed=3, d=4))
+        assert g._indexes["csr"][0][-1] >= exact._ARRAY_MIN_ENTRIES
+        bare = SignedGraph(g.n, CSRGraph(g.n, {"csr": g._indexes["csr"]}).adj)
+        ran, level_bfs = [], exact._level_bfs
+        monkeypatch.setattr(exact, "_level_bfs", lambda *args: ran.append(args[-1]) or level_bfs(*args))
+        balance, cluster = is_balanced(g), is_clusterable(g)
+        assert balance == is_balanced(bare) and cluster == is_clusterable(bare)
+        assert positive_component_clustering(g) == positive_component_clustering(bare)
+        assert ran == [True, False, False]  # follow_negative of each array BFS
+        for w in (balance.witness, cluster.witness):
+            assert w is None or verify_witness(g, w) is None
+        assert "adj" not in g._indexes and "adj" not in vars(g)  # no check built rows
+
+    def test_the_balance_check_inside_generate_takes_the_array_path(self, monkeypatch):
+        monkeypatch.setattr(exact, "_level_bfs", _level_bfs_ran)
+        with pytest.raises(_ArrayPath):
+            generate(GenSpec(ALL_NEGATIVE_REGULAR, 2000, seed=3))  # its builder checks balance
+
+    @pytest.mark.parametrize("triangles", [341, 342])  # 2046 and 2052 row entries
+    def test_graphs_below_the_entry_floor_build_their_rows_once(self, monkeypatch, triangles):
+        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 3 * triangles))
+        bare = SignedGraph(g.n, CSRGraph(g.n, {"csr": g._indexes["csr"]}).adj)
+        ran, level_bfs = [], exact._level_bfs
+        monkeypatch.setattr(exact, "_level_bfs", lambda *args: ran.append(args[-1]) or level_bfs(*args))
+        for _ in range(2):
+            assert is_balanced(g) == is_balanced(bare) and is_clusterable(g) == is_clusterable(bare)
+        small = 6 * triangles < exact._ARRAY_MIN_ENTRIES
+        assert ran == ([] if small else [True, False] * 2)
+        assert ("adj" in g._indexes) is small and (not small or g._indexes["adj"] == bare.adj)
+
+    @mock.patch.object(exact, "_ARRAY_MIN_ENTRIES", 0)  # these graphs are small
     def test_graphs_holding_only_arrays_take_the_array_path(self, monkeypatch, tmp_path):
         generated, loaded = self._generated_and_loaded(tmp_path)
         read = DenseOracle(generated).induced(range(100))
@@ -484,3 +522,45 @@ class TestArrayPathIsChosenByRows:
                     check(g)
             monkeypatch.undo()
         assert list(loaded.edges()) == list(generated.edges())
+
+
+class _NumPyCountingLevels:
+    """NumPy for exact, save np.minimum, which only _level_bfs's component
+    pass calls, and with a count of np.cumsum calls: one per BFS level."""
+
+    def __init__(self):
+        self.levels = 0
+
+    def __getattr__(self, name):
+        if name == "minimum":
+            raise AssertionError("the component pass ran")
+        self.levels += name == "cumsum"
+        return getattr(np, name)
+
+
+class TestLevelBfsStopsInNodeZerosTree:
+    """The array BFS grows node 0's tree alone first: a conflict in it ends
+    the check after the level that meets it, and a conflict-free tree that
+    spans the graph ends it with no component pass."""
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(BALANCED_TWO_SIDE, 2000, seed=1, d=4),  # connected and balanced
+        GenSpec(DISJOINT_BAD_TRIANGLES, 3000, seed=1),  # node 0's triangle is unbalanced
+        GenSpec(ALL_NEGATIVE_REGULAR, 2000, seed=1, d=3),  # connected, with odd cycles
+    ], ids=lambda s: s.family)
+    def test_no_component_pass_and_no_level_past_the_conflict(self, monkeypatch, spec):
+        g, _ = generate(spec)
+        monkeypatch.setattr(exact, "np", counting := _NumPyCountingLevels())
+        parent, label, conflict = got = exact._bfs(g, follow_negative=True)
+        monkeypatch.undo()
+        assert "adj" not in g._indexes
+        assert got == exact._bfs(SignedGraph(g.n, g.adj), follow_negative=True)
+        depth = lambda v: 0 if parent[v] is None else 1 + depth(parent[v])
+        deepest = max(map(depth, range(g.n))) if conflict is None else depth(conflict[0])
+        assert counting.levels == deepest + 1  # the conflict's level, or every level of the tree
+
+    def test_a_conflict_in_node_0s_tree_leaves_every_other_tree_unlabelled(self):
+        g, _ = generate(GenSpec(DISJOINT_BAD_TRIANGLES, 3000, seed=1))
+        parent, label, conflict = exact._bfs(g, follow_negative=True)
+        assert set(conflict) <= {0, 1, 2} and min(label[:3]) >= 0
+        assert set(label[3:]) == {-1} and set(parent[3:]) == {None}

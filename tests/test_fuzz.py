@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import re
 from collections import Counter
 from unittest import mock
 
@@ -166,6 +167,7 @@ def scattered_components(draw):
     return n, edges
 
 
+@mock.patch.object(exact, "_ARRAY_MIN_ENTRIES", 0)  # the array path on small graphs too
 @FUZZ
 @given(st.one_of(edge_lists(), scattered_components()), st.data())
 def test_exact_checks_read_the_same_from_csr_arrays_as_from_tuple_rows(case, data):
@@ -397,6 +399,7 @@ def test_from_arrays_keeps_the_csr_arrays_of_the_rows_it_builds(case, dtype):
 
 
 
+@mock.patch.object(exact, "_ARRAY_MIN_ENTRIES", 0)  # the array path on small graphs too
 @FUZZ
 @given(edge_lists(min_nodes=2), st.integers(0, 2), st.sampled_from([1.0, 1.5, 8.0]))
 def test_whole_graph_read_is_the_same_from_csr_arrays_as_from_tuple_rows(case, slack, eps):
@@ -516,6 +519,28 @@ def test_load_edge_list_builds_what_the_line_reader_builds(sgl_path, case):
         got = [load_edge_list(sgl_path, bound), load_edge_list(io.StringIO(text), bound)]
     for g in got:
         assert g == want and repr(g.adj) == repr(want.adj)
+
+
+# the plain body as a regular expression: a reference that shares no code with core._plain
+_PLAIN_BODY = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18} [+-]\n)*")
+_TOKENS = ["0", "7", "12", "9" * 17, "1" * 18, "1" * 19, " ", "  ", "+", "-", "\n", "\r\n",
+           "\t", "#", ",", "*", "/", ":", "?", "\u0663", "\ud800", "\x00"]
+_NUMBER = st.sampled_from(["0", "7", "12", "1" * 18, "", "9" * 19])
+# a line "u v s" whose every part is plain or, less often, one departure from it
+_NEAR_PLAIN_LINE = st.tuples(
+    _NUMBER, st.sampled_from([" ", " ", "  ", "\t", ""]), _NUMBER, st.sampled_from([" ", " ", ""]),
+    st.sampled_from(["", "", "3"]), st.sampled_from(["+", "-", "*"]), st.sampled_from(["", "", "4"]),
+    st.sampled_from(["\n", "\n", "\r\n", ""])).map("".join)
+
+
+@FUZZ
+@given(st.one_of(sgl_texts(), sgl_texts(corrupt=True)).map(lambda case: case[0].partition("\n")[2])
+       | st.lists(_NEAR_PLAIN_LINE, max_size=6).map("".join)
+       | st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join), st.integers(-1, 2))
+def test_plain_body_check_is_its_grammar(body, shift):
+    m = body.count("\n") + shift
+    assert core._plain(body, m) == (_PLAIN_BODY.fullmatch(body) is not None
+                                    and body.count("\n") == m)
 
 
 @FUZZ

@@ -236,6 +236,24 @@ class TestDeterminismAndValidity:
             if g.degree_bound is not None:
                 assert meta["degree"]["max"] <= g.degree_bound
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generate_builds_no_rows(self, seed):
+        # the metadata's degrees come from the CSR arrays, and so does
+        # all-negative-regular's own balance check (d >= 3) from 2048 row
+        # entries on; on fewer it builds the rows, once, for the FIFO loop
+        specs = [*_sample_specs(seed), GenSpec(ALL_NEGATIVE_REGULAR, 4, seed=0, d=3),
+                 GenSpec(ALL_NEGATIVE_REGULAR, 2000, seed=seed, d=3)]
+        for spec in specs:
+            g, meta = generate(spec)
+            small = bool(g._indexes["csr"][0][-1] < exact._ARRAY_MIN_ENTRIES)
+            checked = spec.family == ALL_NEGATIVE_REGULAR and spec.degree >= 3
+            assert ("adj" in g._indexes) is (checked and small), spec
+            degrees = list(map(len, g.adj))
+            assert meta["degree"] == {"min": min(degrees), "max": max(degrees),
+                                      "bound": g.degree_bound}
+            assert type(meta["degree"]["min"]) is int and type(meta["degree"]["max"]) is int
+        assert {spec.family for spec in specs} == set(FAMILIES)
+
     def test_every_family_name_exported(self):
         assert len(FAMILIES) == 5
 

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 from scipy.stats import binomtest, norm
@@ -362,6 +363,25 @@ class TestCli:
                        for r in rows)
             witness.write_text(json.dumps(rows[0]["witness"]))
             assert cli.main(["verify", "--graph", str(graph), "--d", d, "--witness", str(witness),
+                             "--out", str(verdict)]) == 0
+            assert json.loads(verdict.read_text()) == {"valid": True, "error": None}
+
+    def test_gen_and_exact_build_no_rows(self, tmp_path, monkeypatch, capsys):
+        # gen writes from the generated graph's CSR arrays, and exact reads
+        # the loaded graph's: balance stops in node 0's tree, clusterability
+        # takes the pass over every tree
+        monkeypatch.setattr(core, "_csr_adj", mock.Mock(side_effect=AssertionError("rows built")))
+        graph = tmp_path / "g.sgl"
+        assert cli.main(["gen", "--family", PLANTED_NEGATIVE_MATCHING, "--n", "400",
+                         "--seed", "2", "--out", str(graph)]) == 0
+        for check, key in (("balance", "balanced"), ("clusterability", "clusterable")):
+            result, witness, verdict = (tmp_path / f"{check}.{x}.json" for x in ("r", "w", "v"))
+            assert cli.main(["exact", "--in", str(graph), "--check", check,
+                             "--out", str(result)]) == 0
+            found = json.loads(result.read_text())
+            assert found[key] is False
+            witness.write_text(json.dumps(found["witness"]))
+            assert cli.main(["verify", "--graph", str(graph), "--witness", str(witness),
                              "--out", str(verdict)]) == 0
             assert json.loads(verdict.read_text()) == {"valid": True, "error": None}
 

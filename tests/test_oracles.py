@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from signedtest import bounded_testers, dense_testers, oracles
-from signedtest.core import Sign, SignedGraph
+from signedtest.core import CSRGraph, Sign, SignedGraph, _csr_adj
+from signedtest.generators import CLUSTERABLE_COMMUNITIES, FAMILIES, GenSpec, generate
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle, RandomSource
 
 from conftest import make_graph, random_signed_graph, triangle
@@ -257,6 +258,36 @@ class TestBoundedDegreeOracle:
         assert not gc.is_tracked(o._indexes)
         nbrs, _ = o.query_batch([1, 1, 2], [1, 2, 2])
         assert nbrs.tolist() == [0, 2, -1]
+
+
+class TestRowsBuiltAtPointReads:
+    """On a graph holding only CSR arrays, a point read builds the row it
+    reads, once, into the graph's row store."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_row_equals_the_whole_row_build(self, family):
+        g, _ = generate(GenSpec(family, 600, seed=2, d=4))  # all-negative-regular: 2400 entries
+        want = _csr_adj(g.n, {"csr": g._indexes["csr"]})
+        o = BoundedDegreeOracle(g)
+        for v in np.random.default_rng(2).permutation(g.n).tolist():
+            slots = [o.query(v, i) for i in range(1, o.d + 1)]
+            assert repr(o.neighbors(v)) == repr(want[v])  # plain ints, in insertion order
+            assert slots == [*want[v], *[None] * (o.d - len(want[v]))]
+        assert o.query_count == g.n * o.d + sum(min(len(row) + 1, o.d) for row in want)
+        assert "adj" not in g._indexes
+
+    def test_read_all_returns_the_arrays_unless_the_oracle_reads_whole_rows(self):
+        g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, 60, seed=1, d=6))
+        o = BoundedDegreeOracle(g)
+        for v in range(g.n):
+            o.neighbors(v)  # every row in the store, but the graph's rows unbuilt
+        charge = o.query_count  # a whole read charges what these reads did
+        whole = o.read_all()
+        assert isinstance(whole, CSRGraph) and whole._indexes is g._indexes
+        assert "adj" not in g._indexes and o.query_count == 2 * charge
+        g.adj  # the graph's rows, built after the oracle was made: shared, not rebuilt
+        assert o.read_all().adj is g.adj and BoundedDegreeOracle(g).read_all().adj is g.adj
+        assert whole == g and o.query_count == 3 * charge
 
 
 def test_testers_read_graphs_only_through_charged_oracle_methods():
