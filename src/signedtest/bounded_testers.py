@@ -230,14 +230,14 @@ def test_triangle_bounded(o: BoundedDegreeOracle, pattern, eps: float, seed) -> 
     start = o.query_count
     for v in rng.integers(0, o.n, size=triangle_samples(eps)).tolist():
         nb_v = o.neighbors(v)
-        rows = {u: dict(o.neighbors(u)) for u, _ in nb_v}
+        rows = [o.neighbors(u) for u, _ in nb_v]
         for a, (u1, s1) in enumerate(nb_v):
             for u2, s2 in nb_v[a + 1:]:
-                s12 = rows[u1].get(u2)
-                if s12 is not None and tuple(sorted((s1, s12, s2))) == pat:
-                    w = Witness(WitnessKind.SIGNED_TRIANGLE, (v, u1, u2), (s1, s12, s2))
-                    assert o.query_count - start <= budget
-                    return Verdict(False, witness=w, queries_used=o.query_count - start)
+                for x, s12 in rows[a]:  # a scan of u1's row, at most d entries
+                    if x == u2 and tuple(sorted((s1, s12, s2))) == pat:
+                        w = Witness(WitnessKind.SIGNED_TRIANGLE, (v, u1, u2), (s1, s12, s2))
+                        assert o.query_count - start <= budget
+                        return Verdict(False, witness=w, queries_used=o.query_count - start)
     assert o.query_count - start <= budget
     return Verdict(True, queries_used=o.query_count - start)
 

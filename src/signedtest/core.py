@@ -71,15 +71,15 @@ class SignedGraph:
 
     Neighbor order inside each adjacency list is edge insertion order; the
     bounded-degree oracle exposes exactly this order, so it is part of the
-    graph's identity, not an implementation detail. ``from_arrays`` and a dense
-    induced read of 64 nodes or more give a ``CSRGraph``, rows built when read.
+    graph's identity, not an implementation detail. ``from_arrays`` and most
+    dense induced reads (see oracles) give a ``CSRGraph``, rows built when read.
     """
 
     n: int
     adj: tuple[tuple[tuple[int, int], ...], ...]
     degree_bound: int | None = None
     # Indexes shared by every oracle on the graph: CSR arrays (see csr_rows), a
-    # CSRGraph's rows once built, and the bounded oracles' row store. An oracle
+    # CSRGraph's rows once built, the bounded row store and the dense cells. An oracle
     # keeps this dict, not the graph: a dict of arrays and untracked tuples is
     # untracked after full collections, so a graph only oracles reach is freed.
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -212,24 +212,22 @@ def is_clusterable(g: SignedGraph) -> ClusterabilityResult:
 def _pattern_triangles(
     g: SignedGraph, pattern: Sequence[Sign | str] | str
 ) -> Iterator[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """Every triangle u < v < w whose sign multiset equals the pattern, in
-    lexicographic node order, as ((u, v, w), (s_uv, s_vw, s_uw))."""
+    """Every triangle u < v < w whose sign multiset equals the pattern, by (u, v),
+    then by w's place in v's row, as ((u, v, w), (s_uv, s_vw, s_uw))."""
     want = triangle_pattern(pattern)
-    for u, v, s_uv in g.edges():
-        for w, s_vw in g.adj[v]:
-            if w <= v:
-                continue
-            s_uw = g.sign_of(u, w)
-            if s_uw is None:
-                continue
-            if tuple(sorted((s_uv, s_vw, s_uw))) == want:
-                yield (u, v, w), (s_uv, s_vw, s_uw)
+    for u, row in enumerate(g.adj):
+        signs = dict(row)  # u's row only: no sign map of the whole graph
+        for v, s_uv in sorted(e for e in row if e[0] > u):
+            for w, s_vw in g.adj[v]:
+                s_uw = signs.get(w) if w > v else None
+                if s_uw is not None and tuple(sorted((s_uv, s_vw, s_uw))) == want:
+                    yield (u, v, w), (s_uv, s_vw, s_uw)
 
 
 def has_signed_triangle(
     g: SignedGraph, pattern: Sequence[Sign | str] | str
 ) -> Witness | None:
-    """First triangle (by lexicographic node order) whose sign multiset equals
+    """First triangle (in _pattern_triangles' order) whose sign multiset equals
     the pattern, or None."""
     for nodes, signs in _pattern_triangles(g, pattern):
         return Witness(WitnessKind.SIGNED_TRIANGLE, nodes, signs)

@@ -7,13 +7,11 @@ one to ``query_count``, including empty-slot answers, whether it is read by
 ``read_all``). Free metadata is limited to the node count and (bounded model)
 the degree bound.
 
-``query_batch``, and ``induced`` on a sample of ``_ARRAY_READ_MIN`` nodes or
-more, answer from the graph's rows as NumPy CSR arrays (``core.csr_rows``),
-which a generated or loaded graph holds from its build and any other gets at
-its first such read, shared by every oracle on the graph; below that size,
-looking each pair up in the per-row sign maps is cheaper than gathering whole
-rows. Such a read returns a ``core.CSRGraph``, as generate and the loader do;
-on one with no rows, each bounded point read builds its row once, for all oracles.
+A dense query reads one cell of the graph's signed adjacency matrix, n*n bytes
+built once per graph; above ``_CELLS_MAX_N`` nodes, dense reads and ``query_batch``
+take the graph's NumPy CSR arrays (``core.csr_rows``), held from the build of a
+generated or loaded graph. A dense read of ``_ARRAY_READ_MIN`` nodes or more returns
+a ``core.CSRGraph``; on one with no rows, each bounded point read builds its row once.
 
 The testers of both models also share the seeded randomness and the
 ``Verdict`` they return, defined here.
@@ -27,14 +25,19 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import CSRGraph, SignedGraph, Witness, csr_rows
+from .core import CSRGraph, SignedGraph, Witness, csr_entries, csr_rows
 
 
-# An induced read of at least this many nodes gathers the sampled rows from
-# the graph's CSR arrays; a smaller one looks each pair up in the sign maps.
-# The two cost the same between 56 and 64 nodes, on complete and on sparse
-# 1000-node graphs alike; on 3 to 5 nodes the pair loop is 7-12x cheaper.
-_ARRAY_READ_MIN = 64
+# An induced read of at least this many nodes takes its block of the cells as one
+# array, a smaller one each pair's cell: the two cost the same at 14-16 nodes on a
+# complete 1000-node graph, at 24-32 at degree 6; at 4 nodes the pairs are 3-4x cheaper.
+_ARRAY_READ_MIN = 24
+
+# A larger graph gets no cells (here at most 16 MiB) but reads its CSR arrays: criterion
+# 6 runs dense testers on sparse graphs of 10^5 nodes, whose cells would take 10 GB.
+_CELLS_MAX_N = 4096
+
+_ANSWER = (None, 0, 1)  # a query's answer, indexed by its cell
 
 
 class DenseOracle:
@@ -46,10 +49,8 @@ class DenseOracle:
     def __init__(self, graph: SignedGraph):
         self.n = graph.n
         self.query_count = 0
-        self._signs = graph._sign_map  # shared immutable lookup
-        if graph.n >= _ARRAY_READ_MIN:  # only such a graph has reads that take the array path
-            self._adj = graph.adj
-            self._indexes = graph._indexes  # holds the CSR index or gets it at an array read
+        cells = self._cells = _cells(graph) if graph.n <= _CELLS_MAX_N else None
+        self._csr = None if cells else graph._indexes.get("csr") or csr_rows(graph.adj, graph._indexes)
 
     def query(self, u: int, v: int) -> int | None:
         if type(u) is not int or type(v) is not int:
@@ -59,56 +60,77 @@ class DenseOracle:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"query ({u},{v}) out of range for n={self.n}")
         self.query_count += 1
-        return self._signs[u].get(v)
+        if (cells := self._cells) is not None:
+            return _ANSWER[cells[u * self.n + v]]
+        indptr, nbr, sign = self._csr  # scan u's row
+        row = nbr[indptr[u]:indptr[u + 1]].tolist()
+        return int(sign[indptr[u] + row.index(v)]) if v in row else None
 
     def induced(self, nodes) -> SignedGraph:
         """Read every pair among distinct nodes, charged k(k-1)/2 queries, and
         return the induced graph relabeled to 0..k-1 in the given order, each
         row ascending by label, as from_edges would build it from the pairs in
         order, without its redundant checks. Every error is raised before the
-        charge. Reads of _ARRAY_READ_MIN nodes or more gather the rows from
-        the CSR arrays and return the same graph as a CSRGraph."""
+        charge. A read of _ARRAY_READ_MIN nodes or more, or of a graph with no
+        cells, returns the same graph as a CSRGraph."""
         k = len(nodes)
         if k == 0 or len(set(nodes)) != k:
             raise ValueError("induced read needs one or more distinct nodes")
         ids = _id_array(nodes, "induced read needs integer node ids")
         if not (0 <= min(nodes) and max(nodes) < self.n):
             raise ValueError(f"induced read out of range for n={self.n}")
-        if k >= _ARRAY_READ_MIN:
-            return self._gather(ids)
         self.query_count += k * (k - 1) // 2
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        if (cells := self._cells) is None:
+            return self._gather(ids)
+        if k >= _ARRAY_READ_MIN:  # nonzero lists the block's entries by (row, column)
+            block = np.frombuffer(cells, np.uint8).reshape(self.n, self.n)[np.ix_(ids, ids)]
+            row, col = np.nonzero(block)
+            return _csr_graph(k, row, col, block[row, col] - 1)
+        n, adj = self.n, [[] for _ in range(k)]
         for i, u in enumerate(nodes):
-            row = self._signs[u]
+            at = u * n
             for j in range(i + 1, k):
-                s = row.get(nodes[j])
-                if s is not None:
-                    adj[i].append((j, s))
-                    adj[j].append((i, s))
+                if c := cells[at + nodes[j]]:
+                    adj[i].append((j, c - 1))
+                    adj[j].append((i, c - 1))
         return SignedGraph(k, tuple(map(tuple, adj)))
 
     def _gather(self, ids: np.ndarray) -> SignedGraph:
-        """The array path of induced: concatenate the sampled rows, keep the
-        entries whose neighbour was sampled and sort them by (row, column)
-        label, as the CSR arrays (csr_rows' dtypes) of the graph returned."""
+        """induced on a graph with no cells, from the sampled rows: O(k*d) at degree d."""
         k = len(ids)
-        self.query_count += k * (k - 1) // 2
-        indptr, nbr, sign = csr_rows(self._adj, self._indexes)
-        # 1 + each sampled node's label, 0 for the rest; np.zeros maps its
-        # pages lazily, so a large n costs only the pages the rows touch
-        label = np.zeros(self.n, dtype=np.int32)
-        label[ids] = np.arange(1, k + 1, dtype=np.int32)
-        lo, hi = indptr[ids], indptr[ids + 1]
-        rows = list(map(slice, lo.tolist(), hi.tolist()))
-        col = label[np.concatenate([nbr[r] for r in rows])]
-        kept = np.flatnonzero(col)  # row i keeps kept[cuts[i]:cuts[i + 1]]
-        cuts = np.searchsorted(kept, np.concatenate(([0], np.cumsum(hi - lo))))
-        col = col[kept].astype(np.int64) - 1
-        sgn = np.concatenate([sign[r] for r in rows])[kept]
-        key = np.repeat(np.arange(0, k * k, k, dtype=np.int64), np.diff(cuts)) + col  # row*k + col
-        order = np.argsort(key, kind="stable")
-        nbr, sgn = np.append(col[order], -1), np.append(sgn[order], np.int8(-1))
-        return CSRGraph(k, {"csr": (cuts, nbr, sgn)})
+        indptr, nbr, sign = self._csr
+        label = np.zeros(self.n, dtype=np.int32)  # lazily mapped: costs the pages read
+        label[ids] = np.arange(1, k + 1, dtype=np.int32)  # 1 + label, 0 if not sampled
+        lo, size = indptr[ids], indptr[ids + 1] - indptr[ids]
+        at = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())  # the rows' entries
+        col = label[nbr[at]] - 1
+        key = (np.repeat(np.arange(0, k * k, k), size) + col) * 2 + sign[at]  # (row, col, sign)
+        rc, sgn = np.divmod(np.sort(key[col >= 0]), 2)
+        return _csr_graph(k, *np.divmod(rc, k), sgn)
+
+
+def _csr_graph(k: int, row, col, sgn) -> CSRGraph:
+    """The k-node CSRGraph whose entries, sorted by (row, column), are row, col and sgn."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=k))))
+    return CSRGraph(k, {"csr": (indptr, np.append(col, -1), np.append(sgn.astype(np.int8), np.int8(-1)))})
+
+
+def _cells(graph: SignedGraph) -> bytes:
+    """The graph's signed adjacency matrix as n*n bytes, kept in its _indexes: cell u*n + v
+    is 0 for no edge, 1 plus, 2 minus. A scatter from CSR arrays, else a loop on rows."""
+    n, indexes = graph.n, graph._indexes
+    if (cells := indexes.get("cells")) is None:
+        if csr := indexes.get("csr"):
+            src, nbr, sign = csr_entries(n, *csr)
+            matrix = np.zeros(n * n, dtype=np.uint8)
+            matrix[src * n + nbr] = sign + 1
+        else:
+            matrix = bytearray(n * n)
+            for u, row in enumerate(graph.adj):
+                for v, s in row:
+                    matrix[u * n + v] = s + 1
+        cells = indexes["cells"] = bytes(matrix)
+    return cells
 
 
 class BoundedDegreeOracle:

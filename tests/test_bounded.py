@@ -512,6 +512,38 @@ class TestTriangleBounded:
         with pytest.raises(ValueError, match="degree bound >= 2"):
             bt.test_triangle_bounded(_oracle(g), PPM, 0.5, 0)
 
+    def test_reads_each_sampled_neighbourhood_and_stops_at_the_first_pattern_pair(self):
+        # for each sampled v: neighbors(v), then neighbors(u) for each u in v's
+        # row; it rejects at the first pair u1, u2 of that row, in row order,
+        # that closes a pattern triangle
+        rng = np.random.default_rng(41)
+        rejects = 0
+        for trial in range(40):
+            n = int(rng.integers(3, 9))
+            pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            edges = [(u, v, int(rng.integers(0, 2))) for u, v in pairs]
+            g = SignedGraph.from_edges(n, edges, degree_bound=max(2, n - 1))
+            sign = {(u, v): s for u, v, s in edges} | {(v, u): s for u, v, s in edges}
+            want_calls, want_witness = [], None
+            for v in np.random.default_rng(trial).integers(0, n, size=bt.triangle_samples(0.5)).tolist():
+                row = g.adj[v]
+                want_calls += [v, *(u for u, _ in row)]
+                want_witness = next((((v, u1, u2), (s1, sign[u1, u2], s2))
+                                     for a, (u1, s1) in enumerate(row) for u2, s2 in row[a + 1:]
+                                     if (u1, u2) in sign
+                                     and tuple(sorted((s1, sign[u1, u2], s2))) == PPM), None)
+                if want_witness is not None:
+                    break
+            o, calls = _oracle(g), []
+            neighbors = o.neighbors
+            o.neighbors = lambda u: calls.append(u) or neighbors(u)
+            got = bt.test_triangle_bounded(o, PPM, 0.5, np.random.default_rng(trial))
+            assert calls == want_calls
+            assert got.queries_used == sum(min(len(g.adj[u]) + 1, g.degree_bound) for u in calls)
+            assert (got.witness.nodes, got.witness.signs) == want_witness if want_witness else got.accept
+            rejects += not got.accept
+        assert 5 < rejects < 40
+
 
 class TestBalanceBounded:
     def test_fallback_on_small_instances(self):

@@ -328,9 +328,9 @@ class TestFrustrationEstimate:
 
 
 class TestArrayPathReads:
-    """An induced read of 64 nodes or more holds its graph as CSR arrays; a
-    verdict that needs no witness, and one that lifts a witness, build no
-    tuple rows for it."""
+    """An induced read of _ARRAY_READ_MIN nodes or more holds its graph as CSR
+    arrays; a verdict that needs no witness, and one that lifts a witness,
+    build no tuple rows for it."""
 
     @staticmethod
     def _verdict_and_reads(tester, g):

@@ -239,6 +239,24 @@ class TestHasSignedTriangle:
                     break
             assert (has_signed_triangle(g, "++-") is not None) == expect
 
+    def test_every_pattern_triangle_in_order_without_the_sign_map(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            edges = list(random_signed_graph(rng, n := int(rng.integers(3, 10)), p_edge=0.6).edges())
+            rng.shuffle(edges)  # rows out of id order
+            g = SignedGraph.from_edges(n, edges)
+            sign = {(u, v): s for u, v, s in edges}
+            for pattern in ("+++", "++-", "+--", "---"):
+                # by edge (a, b), a < b, then by c's place in b's row
+                want = [((a, b, c), (sign[a, b], sign[b, c], sign[a, c]))
+                        for a, b in sorted(sign) for c, _ in g.adj[b]
+                        if c > b and (a, c) in sign
+                        and tuple(sorted((sign[a, b], sign[b, c], sign[a, c])))
+                        == triangle_pattern(pattern)]
+                assert list(exact._pattern_triangles(g, pattern)) == want
+            triangle_free_distance(g, "++-")
+            assert "_sign_map" not in vars(g)
+
 
 class TestFrustrationIndex:
     def test_balanced_graphs_have_zero(self):

@@ -134,17 +134,31 @@ def test_oracles_return_the_input_signs_in_insertion_order(case):
 @FUZZ
 @given(edge_lists(), st.data())
 def test_dense_induced_reads_the_same_graph_from_arrays_as_pair_by_pair(case, data):
+    # the pair loop over the cells, the block read of the cells, and the
+    # gather from the CSR arrays of a graph with no cells
     n, edges = case
     g = SignedGraph.from_edges(n, edges)
     nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))  # any order
     by_pair = DenseOracle(g)  # n <= 10 reads below the cutoff
-    with mock.patch.object(oracles, "_ARRAY_READ_MIN", 1):  # read at __init__ and at each read
-        by_arrays = DenseOracle(g)
-        got = by_arrays.induced(nodes)
-    assert "csr" in g._indexes
-    assert got == by_pair.induced(nodes)  # rows and their order alike
-    assert by_arrays.query_count == by_pair.query_count == len(nodes) * (len(nodes) - 1) // 2
-    assert all(type(w) is int and type(s) is int for row in got.adj for w, s in row)
+    with mock.patch.object(oracles, "_ARRAY_READ_MIN", 1):  # read at each read
+        by_block = DenseOracle(g)
+        block = by_block.induced(nodes)
+    assert list(g._indexes) == ["cells"]
+    with mock.patch.object(oracles, "_CELLS_MAX_N", 0):  # read at __init__
+        by_rows = DenseOracle(g)
+    gathered = by_rows.induced(nodes)
+    assert list(g._indexes) == ["cells", "csr"]
+    pairs = by_pair.induced(nodes)
+    assert isinstance(block, core.CSRGraph) and isinstance(gathered, core.CSRGraph)
+    assert block == gathered == pairs  # rows and their order alike
+    charge = len(nodes) * (len(nodes) - 1) // 2
+    assert by_block.query_count == by_rows.query_count == by_pair.query_count == charge
+    for got in (block, gathered, pairs):
+        assert all(type(w) is int and type(s) is int for row in got.adj for w, s in row)
+    for got in (block, gathered):
+        assert [a.dtype for a in got._indexes["csr"]] == [np.int64, np.int64, np.int8]
+    for u, w in itertools.permutations(range(n), 2):  # a row scan answers as a cell does
+        assert by_rows.query(u, w) is by_pair.query(u, w)
 
 @st.composite
 def scattered_components(draw):
@@ -174,7 +188,8 @@ def test_exact_checks_read_the_same_from_csr_arrays_as_from_tuple_rows(case, dat
     n, edges = case
     g = SignedGraph.from_edges(n, edges)
     nodes = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
-    rows = DenseOracle(g).induced(nodes)  # n <= 60 reads below the cutoff: tuple rows
+    with mock.patch.object(oracles, "_ARRAY_READ_MIN", n + 1):  # every read below it: tuple rows
+        rows = DenseOracle(g).induced(nodes)
     with mock.patch.object(oracles, "_ARRAY_READ_MIN", 1):
         arrays = DenseOracle(g).induced(nodes)
     assert "csr" in arrays._indexes and "csr" not in rows._indexes

@@ -7,13 +7,15 @@ import itertools
 import re
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from signedtest import bounded_testers, dense_testers, oracles
 from signedtest.core import CSRGraph, Sign, SignedGraph, _csr_adj
-from signedtest.generators import CLUSTERABLE_COMMUNITIES, FAMILIES, GenSpec, generate
+from signedtest.generators import (BALANCED_TWO_SIDE, CLUSTERABLE_COMMUNITIES, FAMILIES,
+                                   GenSpec, generate)
 from signedtest.oracles import BoundedDegreeOracle, DenseOracle, RandomSource
 
 from conftest import make_graph, random_signed_graph, triangle
@@ -108,10 +110,54 @@ class TestDenseOracle:
     def test_induced_rejects_repeated_or_out_of_range_uncharged(self, n, nodes):
         g = make_graph(n, [(0, 1, Sign.PLUS), (1, 2, Sign.PLUS), (0, 2, Sign.MINUS)])
         o = DenseOracle(g)
+        built = dict(g._indexes)
         with pytest.raises(ValueError):
             o.induced(nodes)
         assert o.query_count == 0
-        assert not g._indexes  # nor was the CSR index built
+        # nor did the read build anything beyond the cells made at construction
+        assert g._indexes == built and list(built) == ["cells"]
+
+    def test_complete_graph_gets_cells_from_its_arrays_and_no_rows(self):
+        g, _ = generate(GenSpec(BALANCED_TWO_SIDE, 1000, seed=1))
+        o = DenseOracle(g)
+        assert sorted(g._indexes) == ["cells", "csr"]  # no "adj": the rows were never built
+        assert "_sign_map" not in vars(g) and "adj" not in vars(g)
+        cells = g._indexes["cells"]
+        assert type(cells) is bytes and len(cells) == 1000 * 1000
+        indptr, nbr, sign = g._indexes["csr"]
+        for at in (0, indptr[1] - 1):  # node 0's first and last neighbour
+            assert o.query(0, int(nbr[at])) == int(sign[at]) == cells[nbr[at]] - 1
+        assert sorted(g._indexes) == ["cells", "csr"]
+
+    def test_oracles_on_one_graph_share_its_cells(self):
+        for g in (generate(GenSpec(BALANCED_TWO_SIDE, 100, seed=1))[0],
+                  make_graph(4, [(0, 1, Sign.PLUS), (2, 3, Sign.MINUS)])):
+            first, second = DenseOracle(g), DenseOracle(g)
+            assert first._cells is second._cells is g._indexes["cells"]
+
+    def test_graph_above_the_cap_is_read_from_its_arrays(self):
+        n = oracles._CELLS_MAX_N + 904
+        g, _ = generate(GenSpec(CLUSTERABLE_COMMUNITIES, n, seed=2, d=6, k=10))
+        o = DenseOracle(g)
+        rng = np.random.default_rng(5)
+        indptr, nbr, _ = g._indexes["csr"]
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        pairs = [*zip(src[::97].tolist(), nbr[:-1:97].tolist()),  # edges, both ways round
+                 *(p for p in rng.integers(0, n, size=(300, 2)).tolist() if p[0] != p[1])]
+        samples = [rng.choice(n, size=k, replace=False).tolist() for k in (2, 40, 64, 400)]
+        samples.append([*nbr[indptr[7]:indptr[8]].tolist(), 7])  # a node and its neighbours
+        answers = [o.query(u, v) for u, v in pairs]
+        reads = [o.induced(nodes) for nodes in samples]
+        assert list(g._indexes) == ["csr"] and "_sign_map" not in vars(g) and "adj" not in vars(g)
+        assert o._cells is None
+        with mock.patch.object(oracles, "_CELLS_MAX_N", n):
+            ref = DenseOracle(g)
+        assert "cells" in g._indexes
+        assert answers == [ref.query(u, v) for u, v in pairs]
+        assert None in answers and 0 in answers and 1 in answers
+        assert all(type(a) is int for a in answers if a is not None)
+        assert reads == [ref.induced(nodes) for nodes in samples]
+        assert reads[-1].num_edges >= indptr[8] - indptr[7] > 0 and o.query_count == ref.query_count
 
 
 class TestBoundedDegreeOracle:
@@ -295,9 +341,13 @@ def test_testers_read_graphs_only_through_charged_oracle_methods():
     # indexes included: a tester naming any of it could read without paying
     g = make_graph(3, [(0, 1, Sign.PLUS)], d=2)
     bounded, dense = BoundedDegreeOracle(g), DenseOracle(g)
+    with mock.patch.object(oracles, "_CELLS_MAX_N", 0):  # the state of a graph with no cells
+        sparse = DenseOracle(g)
     bounded.query_batch([0], [1])
-    private = {name for obj in (bounded, dense, g) for name in vars(obj) if name.startswith("_")}
-    assert {"_adj", "_indexes", "_signs", "_sign_map"} <= private
+    g._sign_map  # still a cached property of every graph, though no oracle builds it
+    private = {name for obj in (bounded, dense, sparse, g) for name in vars(obj)
+               if name.startswith("_")} | set(g._indexes)  # the indexes' keys too
+    assert {"_adj", "_indexes", "_cells", "_csr", "_sign_map", "cells", "csr"} <= private
     for module in (bounded_testers, dense_testers):
         source = Path(module.__file__).read_text(encoding="utf-8")
         for name in private:
